@@ -7,60 +7,7 @@ independent fractional Brownian motions. That noise shape keeps the gates in
 driver dials the regularity of the simulated paths (estimated in `analysis`).
 """
 
-from .kinetics import (
-    GatingRates,
-    HHParams,
-    State,
-    diffusion,
-    drift,
-    equilibrium,
-    ionic_current,
-    rates,
-    rest_current,
-)
-from .fbm import (
-    CirculantEmbeddingError,
-    FactorizationError,
-    FbmPath,
-    MultiFbmPath,
-    fbm_covariance,
-    fgn_autocovariance,
-    sample_cholesky,
-    sample_driver,
-    sample_wood_chan,
-)
-from .viability import (
-    BoundarySamplingPlan,
-    NormalConeSample,
-    ViabilityReport,
-    apriori_voltage_bound,
-    check_viability,
-    normal_cone_generators,
-)
-from .solver import (
-    CLAMP_AND_LOG,
-    ERROR_ON_EXIT,
-    ConvergenceTable,
-    DivergenceError,
-    SimulationResult,
-    SolverConfig,
-    ViabilityBreachError,
-    convergence_probe,
-    simulate,
-    simulate_deterministic,
-    step_euler,
-)
-from .analysis import (
-    RecordingSeries,
-    RegularityEstimate,
-    SpikeTrain,
-    StageSwitchResult,
-    SweepResult,
-    bifurcation_sweep,
-    detect_spikes,
-    estimate_holder,
-    simulate_recording_series,
-    stage_switch_run,
-)
+from .kinetics import HHParams, equilibrium
+from .solver import SolverConfig, simulate
 
 __version__ = "0.1.0"

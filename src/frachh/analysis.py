@@ -258,11 +258,7 @@ def simulate_recording_series(
                 f"only degrade), got {a} before {b}"
             )
     for h in seq:
-        if not (0.5 < h < 1.0):
-            raise ValueError(
-                f"recording Hurst values must lie in ]1/2,1[ for this solver "
-                f"(the model itself is meaningful down to 1/4), got {h}"
-            )
+        solver_mod.require_young_hurst(h)
     x0 = x0 or equilibrium(0.0)
     seeds = fbm_mod.component_seeds(config.seed, n=len(seq))
     results = []

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,57 +29,39 @@ class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat bag of every tunable: physical constants, solver setup, spike
-    detection, and the output directory. Field names double as config-file
-    keys."""
+# Config-file keys that differ from the library field they set.
+_KEY_FOR_FIELD = {"hurst_H": "hurst"}
+# The CLI's one default that differs from the library's: a spiking current.
+_CLI_DEFAULTS = {"current_I": 10.0}
 
-    capacitance_C: float = 1.0
-    current_I: float = 10.0
-    E_Na: float = 115.0
-    E_K: float = -12.0
-    E_L: float = 10.6
-    gbar_Na: float = 120.0
-    gbar_K: float = 36.0
-    gbar_L: float = 0.3
-    sigma_1: float = 0.0
-    sigma_2: float = 0.0
-    sigma_3: float = 0.0
-    T: float = 50.0
-    dt: float = 0.01
-    hurst: float = 0.75
-    seed: int = 0
-    clamp_policy: str = solver.CLAMP_AND_LOG
-    generator: str = fbm.GENERATOR_WOOD_CHAN
-    threshold: float = 50.0
-    refractory: float = 2.0
-    out_dir: str = "out"
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [
+        (_KEY_FOR_FIELD.get(f.name, f.name), f.type, _CLI_DEFAULTS.get(f.name, f.default))
+        for cls in (HHParams, SolverConfig)
+        for f in dataclasses.fields(cls)
+    ]
+    + [
+        ("threshold", float, analysis.DEFAULT_THRESHOLD),
+        ("refractory", float, analysis.DEFAULT_REFRACTORY),
+        ("out_dir", str, "out"),
+    ],
+    frozen=True,
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Flat bag of every tunable: the fields of `HHParams` and "
+                   "`SolverConfig` (`hurst_H` keyed as `hurst`), spike detection, "
+                   "and the output directory. Field names double as config-file keys.",
+    },
+)
 
-    def hh_params(self) -> HHParams:
-        return HHParams(
-            capacitance_C=self.capacitance_C,
-            current_I=self.current_I,
-            E_Na=self.E_Na,
-            E_K=self.E_K,
-            E_L=self.E_L,
-            gbar_Na=self.gbar_Na,
-            gbar_K=self.gbar_K,
-            gbar_L=self.gbar_L,
-            sigma_1=self.sigma_1,
-            sigma_2=self.sigma_2,
-            sigma_3=self.sigma_3,
-        )
 
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            T=self.T,
-            dt=self.dt,
-            hurst_H=self.hurst,
-            seed=self.seed,
-            clamp_policy=self.clamp_policy,
-            generator=self.generator,
-        )
+def _library_config(config: RunConfig, cls):
+    """The `HHParams` or `SolverConfig` that `config` describes."""
+    return cls(**{
+        f.name: getattr(config, _KEY_FOR_FIELD.get(f.name, f.name))
+        for f in dataclasses.fields(cls)
+    })
 
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -125,26 +106,12 @@ def serialize_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-_FLAG_TO_KEY = {
-    "T": "T",
-    "dt": "dt",
-    "I": "current_I",
-    "hurst": "hurst",
-    "seed": "seed",
-    "generator": "generator",
-    "clamp_policy": "clamp_policy",
-    "threshold": "threshold",
-    "refractory": "refractory",
-    "out": "out_dir",
-}
-
-
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     overrides = {}
     if getattr(args, "config", None):
         overrides.update(parse_config_file(args.config))
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
+    for key in _CONFIG_FIELDS:
+        value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
     sigma = getattr(args, "sigma", None)
@@ -207,8 +174,8 @@ def write_voltage_svg(result: solver.SimulationResult, path, width: int = 960,
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    params = config.hh_params()
-    sconf = config.solver_config()
+    params = _library_config(config, HHParams)
+    sconf = _library_config(config, SolverConfig)
     out = _out_dir(config)
     result = solver.simulate(equilibrium(0.0), params, sconf)
     spikes = analysis.detect_spikes(result, config.threshold, config.refractory)
@@ -237,7 +204,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"empty current range [{args.I_min}, {args.I_max}] step {args.I_step}"
         )
     sweep = analysis.bifurcation_sweep(
-        currents, config.hh_params(), config.solver_config(),
+        currents, _library_config(config, HHParams),
+        _library_config(config, SolverConfig),
         config.threshold, config.refractory,
     )
     out = _out_dir(config)
@@ -267,7 +235,7 @@ def cmd_fbm(args: argparse.Namespace) -> int:
 
 def cmd_viability(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    params = config.hh_params()
+    params = _library_config(config, HHParams)
     diffusion_fn = None
     if args.sigma_row4:
         row4 = float(args.sigma_row4)
@@ -289,7 +257,8 @@ def cmd_series(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     try:
         series = analysis.simulate_recording_series(
-            args.hurst_values, config.hh_params(), config.solver_config()
+            args.hurst_values, _library_config(config, HHParams),
+            _library_config(config, SolverConfig),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -310,7 +279,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--T", type=float, help="horizon in ms")
     p.add_argument("--dt", type=float, help="step in ms")
-    p.add_argument("--I", type=float, help="applied current in uA/cm^2")
+    p.add_argument("--I", dest="current_I", metavar="I", type=float,
+                   help="applied current in uA/cm^2")
     p.add_argument("--hurst", type=float, help="Hurst parameter of the driver")
     p.add_argument("--sigma", type=float, help="shared noise amplitude for all gates")
     p.add_argument("--seed", type=int, help="master seed")
@@ -318,7 +288,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--clamp-policy", dest="clamp_policy", choices=solver.CLAMP_POLICIES)
     p.add_argument("--threshold", type=float, help="spike threshold in mV")
     p.add_argument("--refractory", type=float, help="spike refractory gap in ms")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:

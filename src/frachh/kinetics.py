@@ -28,6 +28,7 @@ __all__ = [
     "equilibrium",
     "ionic_current",
     "rest_current",
+    "require_in_domain",
 ]
 
 _EXP_MAX = 700.0  # beyond this exp() overflows the double range
@@ -167,6 +168,13 @@ class State:
 def _require_finite(x: State) -> None:
     if not x.is_finite():
         raise ValueError(f"state must be finite, got {x!r}")
+
+
+def require_in_domain(x: State) -> None:
+    """Reject a start state outside K = [0,1]^3 x R (gates in the unit cube,
+    voltage finite)."""
+    if not x.is_finite() or not x.gates_in_unit_box():
+        raise ValueError(f"initial state must lie in [0,1]^3 x R, got {x!r}")
 
 
 def ionic_current(x: State, params: HHParams) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import fbm, viability
 from .fbm import GENERATOR_WOOD_CHAN, GENERATORS
-from .kinetics import HHParams, State, rates
+from .kinetics import HHParams, State, rates, require_in_domain
 
 __all__ = [
     "CLAMP_AND_LOG",
@@ -43,6 +43,7 @@ __all__ = [
     "ViabilityBreachError",
     "DivergenceError",
     "ConvergenceTable",
+    "require_young_hurst",
     "step_euler",
     "simulate",
     "simulate_deterministic",
@@ -57,9 +58,6 @@ CLAMP_POLICIES = (CLAMP_AND_LOG, ERROR_ON_EXIT)
 
 # error_on_exit tolerates boundary overshoot up to this much before raising.
 _BREACH_TOL = 1e-9
-
-_GATE_NAMES = ("m", "h", "n")
-
 
 class ViabilityBreachError(RuntimeError):
     """A gate left [0,1] by more than the tolerance under error_on_exit."""
@@ -173,16 +171,6 @@ class StepResult(NamedTuple):
     clamp_events: tuple[ClampEvent, ...]
 
 
-def _apply_policy(value: float, coord_index: int, step: int, policy: str,
-                  events: list[ClampEvent]) -> float:
-    if 0.0 <= value <= 1.0:
-        return value
-    if policy == ERROR_ON_EXIT and (value < -_BREACH_TOL or value > 1.0 + _BREACH_TOL):
-        raise ViabilityBreachError(step=step, coord=_GATE_NAMES[coord_index], pre_value=value)
-    events.append(ClampEvent(step=step, coord=_GATE_NAMES[coord_index], pre_value=value))
-    return min(1.0, max(0.0, value))
-
-
 def step_euler(
     x: State,
     dt: float,
@@ -195,29 +183,14 @@ def step_euler(
     applied afterwards; `step` only labels any clamp events raised here."""
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not x.gates_in_unit_box():
-        raise ValueError(f"state gates must lie in [0,1], got {x!r}")
+    increments = np.asarray(dB, dtype=float).reshape(1, 3)
+    if not np.isfinite(increments).all():
+        raise ValueError(f"driver increments must be finite, got {dB!r}")
+    require_in_domain(x)
     if policy not in CLAMP_POLICIES:
         raise ValueError(f"unknown clamp policy {policy!r}")
-    db1, db2, db3 = (float(b) for b in dB)
-    am, bm, ah, bh, an, bn = rates(x.V)
-    m, h, n, v = x.m, x.h, x.n, x.V
-    raw_m = m + (am - (am + bm) * m) * dt + params.sigma_1 * m * (1.0 - m) * db1
-    raw_h = h + (ah - (ah + bh) * h) * dt + params.sigma_2 * h * (1.0 - h) * db2
-    raw_n = n + (an - (an + bn) * n) * dt + params.sigma_3 * n * (1.0 - n) * db3
-    ion = (
-        params.gbar_Na * m * m * m * h * (v - params.E_Na)
-        + params.gbar_K * n * n * n * n * (v - params.E_K)
-        + params.gbar_L * (v - params.E_L)
-    )
-    new_v = v + (params.current_I - ion) / params.capacitance_C * dt
-    events: list[ClampEvent] = []
-    new_m = _apply_policy(raw_m, 0, step, policy, events)
-    new_h = _apply_policy(raw_h, 1, step, policy, events)
-    new_n = _apply_policy(raw_n, 2, step, policy, events)
-    if not all(math.isfinite(c) for c in (new_m, new_h, new_n, new_v)):
-        raise DivergenceError(step=step)
-    return StepResult(State(new_m, new_h, new_n, new_v), tuple(events))
+    traj, events, _, _ = _integrate(x, params, dt, 1, increments, policy, first_step=step)
+    return StepResult(State.from_array(traj[1]), tuple(events))
 
 
 def _integrate(
@@ -227,8 +200,11 @@ def _integrate(
     n_steps: int,
     increments: np.ndarray | None,
     policy: str,
+    first_step: int = 0,
 ) -> tuple[np.ndarray, list[ClampEvent], float, float]:
-    """Scalar integration loop shared by `simulate` and `convergence_probe`.
+    """Scalar integration loop behind `step_euler`, `simulate` and
+    `convergence_probe`; `first_step` offsets only the step labels of clamp
+    events and errors.
 
     Returns (trajectory, clamp events, raw gate minimum, raw gate maximum).
     """
@@ -282,18 +258,18 @@ def _integrate(
 
         if new_m < 0.0 or new_m > 1.0:
             if error_on_exit and (new_m < -_BREACH_TOL or new_m > 1.0 + _BREACH_TOL):
-                raise ViabilityBreachError(step=k, coord="m", pre_value=new_m)
-            events.append(ClampEvent(step=k, coord="m", pre_value=new_m))
+                raise ViabilityBreachError(step=first_step + k, coord="m", pre_value=new_m)
+            events.append(ClampEvent(step=first_step + k, coord="m", pre_value=new_m))
             new_m = min(1.0, max(0.0, new_m))
         if new_h < 0.0 or new_h > 1.0:
             if error_on_exit and (new_h < -_BREACH_TOL or new_h > 1.0 + _BREACH_TOL):
-                raise ViabilityBreachError(step=k, coord="h", pre_value=new_h)
-            events.append(ClampEvent(step=k, coord="h", pre_value=new_h))
+                raise ViabilityBreachError(step=first_step + k, coord="h", pre_value=new_h)
+            events.append(ClampEvent(step=first_step + k, coord="h", pre_value=new_h))
             new_h = min(1.0, max(0.0, new_h))
         if new_n < 0.0 or new_n > 1.0:
             if error_on_exit and (new_n < -_BREACH_TOL or new_n > 1.0 + _BREACH_TOL):
-                raise ViabilityBreachError(step=k, coord="n", pre_value=new_n)
-            events.append(ClampEvent(step=k, coord="n", pre_value=new_n))
+                raise ViabilityBreachError(step=first_step + k, coord="n", pre_value=new_n)
+            events.append(ClampEvent(step=first_step + k, coord="n", pre_value=new_n))
             new_n = min(1.0, max(0.0, new_n))
 
         if not (
@@ -302,7 +278,7 @@ def _integrate(
             and math.isfinite(new_h)
             and math.isfinite(new_n)
         ):
-            raise DivergenceError(step=k)
+            raise DivergenceError(step=first_step + k)
 
         m, h, n, v = new_m, new_h, new_n, new_v
         traj[k + 1, 0] = m
@@ -313,16 +289,13 @@ def _integrate(
     return traj, events, pre_min, pre_max
 
 
-def _require_start_in_box(x0: State) -> None:
-    if not x0.is_finite() or not x0.gates_in_unit_box():
-        raise ValueError(f"initial state must lie in [0,1]^3 x R, got {x0!r}")
-
-
-def _check_stochastic_hurst(config: SolverConfig) -> None:
-    if not (0.5 < config.hurst_H < 1.0):
+def require_young_hurst(H: float) -> None:
+    """Reject Hurst parameters outside ]1/2,1[, the only range in which this
+    solver integrates a noisy run."""
+    if not (0.5 < H < 1.0):
         raise ValueError(
             f"stochastic runs need a Hurst parameter in ]1/2,1[ (Young-integral "
-            f"range of the explicit scheme), got {config.hurst_H}; the boundary "
+            f"range of the explicit scheme), got {H}; the boundary "
             f"viability conditions themselves hold for H in ]1/4,1[, but this "
             f"solver does not integrate below 1/2"
         )
@@ -331,12 +304,12 @@ def _check_stochastic_hurst(config: SolverConfig) -> None:
 def simulate(x0: State, params: HHParams, config: SolverConfig) -> SimulationResult:
     """Integrate the model over [0, T] against a freshly sampled three-component
     driver (skipped when all sigmas are zero). Deterministic given its inputs."""
-    _require_start_in_box(x0)
+    require_in_domain(x0)
     n = config.n_steps
     if params.is_deterministic:
         increments = None
     else:
-        _check_stochastic_hurst(config)
+        require_young_hurst(config.hurst_H)
         driver = fbm.sample_driver(
             n, n * config.dt, config.hurst_H, config.seed, config.generator
         )
@@ -400,7 +373,7 @@ def convergence_probe(
     the same increments (the piecewise-linear restriction of one path), so the
     gaps isolate the scheme error. `dt_list` must be dyadically nested.
     """
-    _require_start_in_box(x0)
+    require_in_domain(x0)
     if len(dt_list) == 0:
         raise ValueError("dt_list must not be empty")
     dts = sorted((float(d) for d in dt_list), reverse=True)
@@ -420,8 +393,7 @@ def convergence_probe(
     if params.is_deterministic:
         fine_increments = None
     else:
-        if not (0.5 < float(H) < 1.0):
-            raise ValueError(f"stochastic refinement needs H in ]1/2,1[, got {H}")
+        require_young_hurst(H)
         fine_increments = fbm.sample_driver(
             n_fine, n_fine * dt_fine, H, seed, generator
         ).increments()

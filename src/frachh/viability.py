@@ -33,11 +33,9 @@ from . import kinetics
 from .kinetics import HHParams, State
 
 __all__ = [
-    "NormalConeSample",
     "BoundarySamplingPlan",
     "ViabilityReport",
     "normal_cone_generators",
-    "normal_cone_sample",
     "check_viability",
     "linear_growth_constant",
     "apriori_voltage_bound",
@@ -69,21 +67,6 @@ def normal_cone_generators(x: State, atol: float = _FACE_ATOL) -> list[np.ndarra
             e[i] = 1.0
             generators.append(e)
     return generators
-
-
-@dataclass(frozen=True)
-class NormalConeSample:
-    """A boundary point together with the extreme rays of its normal cone."""
-
-    boundary_point: State
-    generators: list[np.ndarray]
-
-
-def normal_cone_sample(x: State) -> NormalConeSample:
-    generators = normal_cone_generators(x)
-    if not generators:
-        raise ValueError(f"state {x!r} has no gate coordinate on a face of [0,1]^3")
-    return NormalConeSample(boundary_point=x, generators=generators)
 
 
 def _default_v_grid() -> np.ndarray:
@@ -252,8 +235,7 @@ def apriori_voltage_bound(params: HHParams, x0: State, T: float) -> float:
     when c1 T exceeds the double exponent range; the bound is still valid
     (and then vacuous) in that case.
     """
-    if not x0.is_finite() or not x0.gates_in_unit_box():
-        raise ValueError(f"initial state must lie in [0,1]^3 x R, got {x0!r}")
+    kinetics.require_in_domain(x0)
     T = float(T)
     if not (T > 0.0):
         raise ValueError(f"horizon T must be positive, got {T!r}")

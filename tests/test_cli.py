@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: config round-trip, subcommands, exit codes, outputs."""
 
+import dataclasses
+
 import pytest
 
 from frachh.cli import (
@@ -9,6 +11,14 @@ from frachh.cli import (
     parse_config_file,
     serialize_config,
 )
+from frachh.kinetics import HHParams
+from frachh.solver import SolverConfig
+
+CONFIG_KEYS = [
+    "capacitance_C", "current_I", "E_Na", "E_K", "E_L", "gbar_Na", "gbar_K",
+    "gbar_L", "sigma_1", "sigma_2", "sigma_3", "T", "dt", "hurst", "seed",
+    "clamp_policy", "generator", "threshold", "refractory", "out_dir",
+]
 
 
 def run_cli(args, capsys):
@@ -23,6 +33,14 @@ def run_cli(args, capsys):
 
 
 class TestConfigFile:
+    def test_keys_and_defaults_pinned(self):
+        defaults = dataclasses.asdict(RunConfig())
+        assert list(defaults) == CONFIG_KEYS
+        expected = {**dataclasses.asdict(HHParams()), **dataclasses.asdict(SolverConfig())}
+        expected["hurst"] = expected.pop("hurst_H")
+        expected.update(current_I=10.0, threshold=50.0, refractory=2.0, out_dir="out")
+        assert defaults == expected
+
     def test_round_trip_identity(self, tmp_path):
         config = RunConfig(current_I=4.5, sigma_1=0.25, sigma_2=0.25, sigma_3=0.25,
                            T=20.0, dt=0.02, hurst=0.77, seed=9, out_dir="elsewhere")

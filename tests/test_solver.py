@@ -4,12 +4,17 @@ The single-step oracle values were computed independently with mpmath at 50
 digits from the affine update x + b(x) dt + sigma(x) dB.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from frachh import analysis
-from frachh.kinetics import HHParams, State, rest_current
+from frachh.kinetics import HHParams, State, drift, rest_current
 from frachh.solver import (
+    CLAMP_AND_LOG,
     ERROR_ON_EXIT,
     DivergenceError,
     SolverConfig,
@@ -105,6 +110,31 @@ class TestStepEuler:
     def test_rejects_gates_outside_box(self, classic_i10):
         with pytest.raises(ValueError):
             step_euler(State(1.5, 0.5, 0.5, 0.0), 0.01, (0, 0, 0), classic_i10)
+
+    @pytest.mark.parametrize("policy", [CLAMP_AND_LOG, ERROR_ON_EXIT])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_increment(self, policy, bad, classic_i10_noisy):
+        with pytest.raises(ValueError, match="finite"):
+            step_euler(State(0.5, 0.5, 0.5, 0.0), 0.01, (bad, 0.0, 0.0),
+                       classic_i10_noisy, policy=policy)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gates=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+        v=st.floats(-50.0, 150.0),
+        dt=st.floats(1e-3, 0.03),
+        current=st.floats(0.0, 15.0),
+    )
+    def test_noise_free_step_matches_drift(self, gates, v, dt, current):
+        # The integration loop and `kinetics.drift` (used by the viability
+        # audit) state the same vector field twice; pin them together.
+        x = State(*gates, v)
+        params = HHParams.classic(current_I=current, sigma=0.25)
+        result = step_euler(x, dt, (0.0, 0.0, 0.0), params)
+        assume(not result.clamp_events)
+        ref = x.as_array() + dt * drift(x, params)
+        got = result.state.as_array()
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 class TestSimulate:

@@ -13,7 +13,6 @@ from frachh.viability import (
     check_viability,
     linear_growth_constant,
     normal_cone_generators,
-    normal_cone_sample,
 )
 
 
@@ -34,8 +33,6 @@ class TestNormalCone:
 
     def test_interior_empty(self):
         assert normal_cone_generators(State(0.5, 0.5, 0.5, 0.0)) == []
-        with pytest.raises(ValueError):
-            normal_cone_sample(State(0.5, 0.5, 0.5, 0.0))
 
     def test_defining_inequality_against_random_points(self):
         # <s, y - x> <= 0 for all y in K, per generator, 1000 random y each.
