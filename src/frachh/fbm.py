@@ -3,14 +3,21 @@
 Two generators are provided and cross-validate each other:
 
 * `sample_cholesky` — triangular factorization of the increment covariance;
-  O(N^3), used as the exact reference.
+  used as the exact reference. The O(N^3) factorization is paid once per
+  (N, T, H); each path then costs O(N^2).
 * `sample_wood_chan` — circulant embedding of the stationary increment process
   (fractional Gaussian noise) diagonalized by the FFT; exact in distribution
-  and O(N log N). See Wood & Chan (1994) and Dietrich & Newsam (1997).
+  and O(N log N). The embedding search is paid once per (N, H). See Wood &
+  Chan (1994) and Dietrich & Newsam (1997).
 
-Both are deterministic functions of (N, T, H, seed). Bit-identical output
-across platforms is not promised for the FFT-backed generator; statistical
-properties are.
+The factor or eigenvalues of the most recent key are kept in a one-entry memo
+and shared read-only, so the three components of a driver, and repeated calls
+at the same key, reuse them. Only one key is held: a Cholesky factor takes
+8 N^2 bytes, and the old entry is dropped before the next one is built.
+
+Both generators are deterministic functions of (N, T, H, seed). Bit-identical
+output across platforms is not promised for the FFT-backed generator;
+statistical properties are.
 """
 
 from __future__ import annotations
@@ -73,6 +80,27 @@ def _check_hurst(H: float) -> float:
     if not (0.0 < H < 1.0):
         raise ValueError(f"Hurst parameter must lie in ]0,1[, got {H!r}")
     return H
+
+
+# Spectral data (Cholesky factor or circulant eigenvalues) of the most recent
+# key only; see `_memoized`.
+_spectral_memo: dict[tuple, np.ndarray] = {}
+
+
+def _memoized(key: tuple, build) -> np.ndarray:
+    """`build()` for `key`, reused while `key` is the most recent key.
+
+    The previous entry is dropped before `build` runs, so at most one entry is
+    alive at a time, and nothing is stored when `build` raises. The result is
+    made read-only, because every caller at that key shares it.
+    """
+    value = _spectral_memo.get(key)
+    if value is None:
+        _spectral_memo.clear()
+        value = build()
+        value.flags.writeable = False
+        _spectral_memo[key] = value
+    return value
 
 
 def fbm_covariance(s: float, t: float, H: float) -> float:
@@ -182,14 +210,19 @@ def _check_grid_args(N: int, T: float) -> tuple[int, float]:
 
 
 def _increment_covariance(N: int, T: float, H: float) -> np.ndarray:
+    """Increment covariance delta^2H * gamma(|i-j|) as one fresh N x N array."""
     delta = T / N
-    gamma = fgn_autocovariance(np.arange(N), H)
-    return delta ** (2.0 * H) * scipy.linalg.toeplitz(gamma)
+    return scipy.linalg.toeplitz(delta ** (2.0 * H) * fgn_autocovariance(np.arange(N), H))
 
 
 def _cholesky_factor(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric matrix `cov`, computed in place.
+
+    Overwrites `cov`: its buffer holds the returned factor. `cov.T` is the same
+    matrix in Fortran order, which LAPACK factors without a copy.
+    """
     try:
-        return scipy.linalg.cholesky(cov, lower=True)
+        return scipy.linalg.cholesky(cov.T, lower=True, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:
         match = re.search(r"(\d+)-th leading minor", str(exc))
         pivot = int(match.group(1)) - 1 if match else -1
@@ -200,16 +233,30 @@ def _cholesky_factor(cov: np.ndarray) -> np.ndarray:
         ) from exc
 
 
+def _increment_factor(N: int, T: float, H: float) -> np.ndarray:
+    """Read-only lower Cholesky factor of the increment covariance, memoized
+    per (N, T, H)."""
+    return _memoized(
+        (GENERATOR_CHOLESKY, N, T, H),
+        lambda: _cholesky_factor(_increment_covariance(N, T, H)),
+    )
+
+
 def sample_cholesky(N: int, T: float, H: float, seed) -> FbmPath:
     """Exact fBm path on N+1 uniform points of [0, T] via a lower-triangular
-    factorization of the increment covariance. Deterministic given `seed`."""
+    factorization of the increment covariance. Deterministic given `seed`.
+
+    The O(N^3) factorization is paid once per (N, T, H) and kept until another
+    key is sampled, which holds one 8 N^2-byte factor in memory; each path
+    then costs O(N^2).
+    """
     N, T = _check_grid_args(N, T)
-    _check_hurst(H)
-    L = _cholesky_factor(_increment_covariance(N, T, H))
+    H = _check_hurst(H)
+    L = _increment_factor(N, T, H)
     z = np.random.default_rng(seed).standard_normal(N)
     values = np.concatenate([[0.0], np.cumsum(L @ z)])
     return FbmPath(
-        hurst_H=float(H),
+        hurst_H=H,
         grid=np.arange(N + 1) * (T / N),
         values=values,
         seed=_seed_as_int(seed),
@@ -218,14 +265,13 @@ def sample_cholesky(N: int, T: float, H: float, seed) -> FbmPath:
 
 
 def cholesky_increment_ensemble(N: int, T: float, H: float, seed, n_paths: int) -> np.ndarray:
-    """(n_paths, N) array of independent increment vectors, factored once.
+    """(n_paths, N) array of independent increment vectors from one factor.
 
-    Monte Carlo helper for generator validation; a loop over `sample_cholesky`
-    would refactor the covariance per path.
+    Monte Carlo helper for generator validation.
     """
     N, T = _check_grid_args(N, T)
-    _check_hurst(H)
-    L = _cholesky_factor(_increment_covariance(N, T, H))
+    H = _check_hurst(H)
+    L = _increment_factor(N, T, H)
     z = np.random.default_rng(seed).standard_normal((N, int(n_paths)))
     return (L @ z).T
 
@@ -263,6 +309,12 @@ def _find_embedding(N: int, H: float) -> tuple[int, np.ndarray]:
         M *= 2
 
 
+def _embedding_eigenvalues(N: int, H: float) -> np.ndarray:
+    """Read-only clipped eigenvalues of the embedding `_find_embedding`
+    picks, memoized per (N, H)."""
+    return _memoized((GENERATOR_WOOD_CHAN, N, H), lambda: _find_embedding(N, H)[1])
+
+
 def _wood_chan_complex_sample(lam: np.ndarray, rng: np.random.Generator, n_paths: int) -> np.ndarray:
     """(n_paths, 2M) complex samples whose real and imaginary parts are each
     exact unit-grid fGn of length 2M (first N entries are used by callers)."""
@@ -275,14 +327,14 @@ def sample_wood_chan(N: int, T: float, H: float, seed) -> FbmPath:
     """fBm path via circulant embedding of the increment process, cumulatively
     summed and scaled to the [0, T] grid. Deterministic given `seed`."""
     N, T = _check_grid_args(N, T)
-    _check_hurst(H)
-    _, lam = _find_embedding(N, H)
+    H = _check_hurst(H)
+    lam = _embedding_eigenvalues(N, H)
     rng = np.random.default_rng(seed)
     fgn = _wood_chan_complex_sample(lam, rng, 1)[0, :N].real
     delta = T / N
-    values = np.concatenate([[0.0], np.cumsum(fgn) * delta ** float(H)])
+    values = np.concatenate([[0.0], np.cumsum(fgn) * delta ** H])
     return FbmPath(
-        hurst_H=float(H),
+        hurst_H=H,
         grid=np.arange(N + 1) * delta,
         values=values,
         seed=_seed_as_int(seed),
@@ -296,11 +348,11 @@ def wood_chan_increment_ensemble(
     """(n_paths, N) independent increment vectors via batched circulant
     embedding; real and imaginary parts both count (they are independent)."""
     N, T = _check_grid_args(N, T)
-    _check_hurst(H)
+    H = _check_hurst(H)
     n_paths = int(n_paths)
-    _, lam = _find_embedding(N, H)
+    lam = _embedding_eigenvalues(N, H)
     rng = np.random.default_rng(seed)
-    scale = (T / N) ** float(H)
+    scale = (T / N) ** H
     out = np.empty((n_paths, N))
     filled = 0
     while filled < n_paths:

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from frachh import fbm
 from frachh.fbm import (
@@ -109,6 +110,120 @@ class TestCholesky:
             sample_cholesky(8, -1.0, 0.5, 0)
         with pytest.raises(ValueError):
             sample_cholesky(8, 1.0, 1.2, 0)
+
+
+@pytest.fixture
+def cold_memo():
+    fbm._spectral_memo.clear()
+    yield fbm._spectral_memo
+    fbm._spectral_memo.clear()
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestSpectralMemo:
+    @pytest.mark.parametrize(
+        "n_grid,horizon,hurst",
+        [(1, 2.0, 0.75), (2, 1.0, 0.6), (64, 10.0, 0.55), (257, 50.0, 0.95), (1000, 10.0, 0.75)],
+    )
+    def test_factor_bit_identical_to_scaled_toeplitz(self, cold_memo, n_grid, horizon, hurst):
+        delta = horizon / n_grid
+        gamma = fgn_autocovariance(np.arange(n_grid), hurst)
+        reference = scipy.linalg.cholesky(
+            delta ** (2.0 * hurst) * scipy.linalg.toeplitz(gamma), lower=True
+        )
+        assert np.array_equal(fbm._increment_factor(n_grid, horizon, hurst), reference)
+
+    @pytest.mark.parametrize("generator", fbm.GENERATORS)
+    def test_driver_independent_of_memo_state(self, cold_memo, generator):
+        def values():
+            d = sample_driver(128, 10.0, 0.7, 5, generator)
+            return np.stack([c.values for c in d.components])
+
+        other_generator = next(g for g in fbm.GENERATORS if g != generator)
+        cold = values()
+        warm = values()
+        sample_driver(128, 10.0, 0.8, 5, generator)
+        sample_driver(128, 10.0, 0.7, 5, other_generator)
+        evicted = values()
+        assert np.array_equal(cold, warm)
+        assert np.array_equal(cold, evicted)
+
+    def test_hurst_type_shares_entry(self, cold_memo):
+        a = fbm._increment_factor(16, 1.0, 0.75)
+        sample_cholesky(16, 1, np.float64(0.75), 0)
+        sample_cholesky(np.int64(16), 1.0, 0.75, 0)
+        assert fbm._increment_factor(16, 1.0, 0.75) is a
+        assert len(cold_memo) == 1
+
+    def test_cholesky_driver_factors_once_per_key(self, cold_memo, monkeypatch):
+        calls = _count_calls(monkeypatch, fbm.scipy.linalg, "cholesky")
+        sample_driver(200, 2.0, 0.75, 1, generator="cholesky")
+        assert len(calls) == 1
+        sample_driver(200, 2.0, 0.75, 2, generator="cholesky")
+        assert len(calls) == 1
+        sample_driver(200, 2.0, 0.6, 1, generator="cholesky")
+        assert len(calls) == 2
+        assert list(cold_memo) == [("cholesky", 200, 2.0, 0.6)]
+
+    def test_wood_chan_driver_searches_once(self, cold_memo, monkeypatch):
+        calls = _count_calls(monkeypatch, fbm, "_circulant_eigenvalues")
+        sample_driver(1000, 10.0, 0.75, 1)
+        assert len(calls) == 1
+        sample_driver(1000, 50.0, 0.75, 2)
+        assert len(calls) == 1
+        assert list(cold_memo) == [("wood_chan", 1000, 0.75)]
+
+    def test_returned_arrays_are_read_only(self, cold_memo):
+        factor = fbm._increment_factor(8, 1.0, 0.7)
+        with pytest.raises(ValueError):
+            factor[0, 0] = 1.0
+        lam = fbm._embedding_eigenvalues(8, 0.7)
+        with pytest.raises(ValueError):
+            lam[0] = 1.0
+
+    def test_factorization_error_not_memoized(self, cold_memo, monkeypatch):
+        good = fbm._increment_covariance
+        builds = []
+
+        def indefinite(N, T, H):
+            builds.append(N)
+            return good(N, T, H) if H != 0.7 else np.array([[1.0, 2.0], [2.0, 1.0]])
+
+        monkeypatch.setattr(fbm, "_increment_covariance", indefinite)
+        for _ in range(2):
+            with pytest.raises(FactorizationError):
+                sample_driver(2, 1.0, 0.7, 0, generator="cholesky")
+            assert not cold_memo
+        assert len(builds) == 2
+        d = sample_driver(2, 1.0, 0.75, 0, generator="cholesky")
+        assert d.b1.values.shape == (3,)
+        assert len(cold_memo) == 1
+
+    def test_embedding_error_not_memoized(self, cold_memo, monkeypatch):
+        good = fbm._circulant_eigenvalues
+        monkeypatch.setattr(
+            fbm,
+            "_circulant_eigenvalues",
+            lambda M, H: np.array([1.0, -0.5]) if H == 0.7 else good(M, H),
+        )
+        for _ in range(2):
+            with pytest.raises(CirculantEmbeddingError):
+                sample_driver(4, 1.0, 0.7, 0)
+            assert not cold_memo
+        d = sample_driver(4, 1.0, 0.75, 0)
+        assert d.b1.values.shape == (5,)
+        assert len(cold_memo) == 1
 
 
 class TestWoodChan:
