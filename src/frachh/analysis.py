@@ -26,28 +26,6 @@ from . import solver as solver_mod
 from .kinetics import HHParams, State, equilibrium
 from .solver import SimulationResult, SolverConfig
 
-__all__ = [
-    "REST",
-    "SINGLE",
-    "MULTIPLE",
-    "SpikeTrain",
-    "SweepResult",
-    "RegularityEstimate",
-    "RecordingSeries",
-    "StageSwitchResult",
-    "DegeneratePathError",
-    "spike_times_from_trace",
-    "detect_spikes",
-    "classify_spike_count",
-    "bifurcation_sweep",
-    "estimate_holder",
-    "gate_regularity",
-    "simulate_recording_series",
-    "stage_switch_run",
-    "write_sweep_csv",
-    "write_series_csv",
-]
-
 DEFAULT_THRESHOLD = 50.0   # mV
 DEFAULT_REFRACTORY = 2.0   # ms
 
@@ -172,12 +150,14 @@ class RegularityEstimate:
 
 
 _MIN_SAMPLES = 256
+# The Holder fit uses lags 2^0 .. 2^(J-1) with J at most this.
+_MAX_SCALES = 6
 
 
-def estimate_holder(values, grid, max_scales: int = 6) -> RegularityEstimate:
+def estimate_holder(values, grid) -> RegularityEstimate:
     """Estimate the path-regularity exponent of one sampled path.
 
-    Uses lags 2^0 .. 2^(J-1) with J = min(max_scales, what the sample count
+    Uses lags 2^0 .. 2^(J-1) with J = min(_MAX_SCALES, what the sample count
     supports); the exponent is half the slope of log mean-squared-increment
     against log lag, clipped into [0, 1] (a smooth path reports the cap 1).
     """
@@ -188,7 +168,7 @@ def estimate_holder(values, grid, max_scales: int = 6) -> RegularityEstimate:
     if x.size < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {x.size}")
     dt = float(t[1] - t[0])
-    n_scales = min(int(max_scales), int(math.log2(x.size / 8)))
+    n_scales = min(_MAX_SCALES, int(math.log2(x.size / 8)))
     lags = [2 ** j for j in range(n_scales)]
     mean_sq = []
     for lag in lags:
@@ -208,13 +188,11 @@ def estimate_holder(values, grid, max_scales: int = 6) -> RegularityEstimate:
     return RegularityEstimate(exponent=exponent, scales_used=len(lags), fit_residual=residual)
 
 
-def gate_regularity(result: SimulationResult, max_scales: int = 6) -> RegularityEstimate:
+def gate_regularity(result: SimulationResult) -> RegularityEstimate:
     """Combined gate-path regularity of a run: the median exponent (and median
     residual) over the three gate components, which is robust to one gate
     sitting closer to a face than the others."""
-    estimates = [
-        estimate_holder(result.trajectory[:, i], result.grid, max_scales) for i in range(3)
-    ]
+    estimates = [estimate_holder(result.trajectory[:, i], result.grid) for i in range(3)]
     exponents = sorted(e.exponent for e in estimates)
     residuals = sorted(e.fit_residual for e in estimates)
     return RegularityEstimate(

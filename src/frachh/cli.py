@@ -22,8 +22,6 @@ from . import analysis, fbm, solver, viability
 from .kinetics import HHParams, State, diffusion, equilibrium
 from .solver import SolverConfig
 
-__all__ = ["RunConfig", "parse_config_file", "serialize_config", "main"]
-
 
 class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 2."""
@@ -141,17 +139,23 @@ def _emit(key: str, value) -> None:
         print(f"{key}={value}")
 
 
-def write_voltage_svg(result: solver.SimulationResult, path, width: int = 960,
-                      height: int = 320, max_points: int = 4000) -> None:
-    """Bare polyline of V against t (decimated to at most `max_points`)."""
-    t = result.grid
-    v = result.voltage
-    stride = max(1, t.size // max_points)
-    t = t[::stride]
-    v = v[::stride]
+# Voltage SVG: canvas size in px, and the most polyline points it holds.
+_SVG_WIDTH = 960
+_SVG_HEIGHT = 320
+_SVG_MAX_POINTS = 4000
+
+
+def write_voltage_svg(result: solver.SimulationResult, path) -> None:
+    """Bare polyline of V against t, decimated by a uniform stride to at most
+    `_SVG_MAX_POINTS` points; the first and last samples are always kept."""
+    last = result.grid.size - 1
+    stride = -(-last // (_SVG_MAX_POINTS - 1))
+    keep = np.append(np.arange(0, last, stride), last)
+    t = result.grid[keep]
+    v = result.voltage[keep]
     v_lo, v_hi = float(v.min()), float(v.max())
     span = (v_hi - v_lo) or 1.0
-    margin = 40
+    width, height, margin = _SVG_WIDTH, _SVG_HEIGHT, 40
     xs = margin + (width - 2 * margin) * (t - t[0]) / (t[-1] - t[0])
     ys = height - margin - (height - 2 * margin) * (v - v_lo) / span
     points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))

@@ -29,24 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-__all__ = [
-    "FbmPath",
-    "MultiFbmPath",
-    "FactorizationError",
-    "CirculantEmbeddingError",
-    "GENERATOR_CHOLESKY",
-    "GENERATOR_WOOD_CHAN",
-    "GENERATORS",
-    "fbm_covariance",
-    "fgn_autocovariance",
-    "sample_cholesky",
-    "sample_wood_chan",
-    "sample_driver",
-    "cholesky_increment_ensemble",
-    "wood_chan_increment_ensemble",
-    "write_driver_csv",
-]
-
 GENERATOR_CHOLESKY = "cholesky"
 GENERATOR_WOOD_CHAN = "wood_chan"
 GENERATORS = (GENERATOR_CHOLESKY, GENERATOR_WOOD_CHAN)
@@ -56,6 +38,8 @@ GENERATORS = (GENERATOR_CHOLESKY, GENERATOR_WOOD_CHAN)
 _EIG_CLIP_REL = 1e-9
 # Give up doubling the embedding once it exceeds 2^6 * N.
 _MAX_EMBED_FACTOR = 64
+# Complex samples per FFT batch of `wood_chan_increment_ensemble`.
+_ENSEMBLE_BATCH = 20_000
 
 
 class FactorizationError(RuntimeError):
@@ -126,72 +110,46 @@ def fgn_autocovariance(k, H: float):
 
 @dataclass(frozen=True, eq=False)
 class FbmPath:
-    """One sampled fBm path on a uniform grid starting at (0, 0)."""
+    """Sampled fBm on the uniform grid of N+1 points over [0, T], starting at 0.
+
+    `values` is (N+1,) for one path, or (N+1, 3) for the three independent
+    components of the gate driver, one per column.
+    """
 
     hurst_H: float
-    grid: np.ndarray
+    T: float
     values: np.ndarray
     seed: int
     generator_tag: str
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
-            raise ValueError("grid and values must be 1-d arrays of equal length >= 2")
-        if grid[0] != 0.0 or values[0] != 0.0:
-            raise ValueError("paths start at t = 0 with value 0")
-        steps = np.diff(grid)
-        if steps.min() <= 0.0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValueError("grid must be strictly increasing and uniform")
-        object.__setattr__(self, "grid", grid)
+        if values.ndim not in (1, 2) or values.shape[1:] not in ((), (3,)) or len(values) < 2:
+            raise ValueError("values must have shape (N+1,) or (N+1, 3) with N >= 1")
+        if np.count_nonzero(values[0]):
+            raise ValueError("paths start at value 0")
+        T = float(self.T)
+        if not (T > 0.0) or not math.isfinite(T):
+            raise ValueError(f"horizon T must be positive and finite, got {T!r}")
+        object.__setattr__(self, "T", T)
         object.__setattr__(self, "values", values)
 
     @property
-    def dt(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
-    @property
     def n_steps(self) -> int:
-        return self.grid.size - 1
+        return len(self.values) - 1
 
     @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values)
-
-
-@dataclass(frozen=True, eq=False)
-class MultiFbmPath:
-    """Three independent fBm components on a shared grid, for the gate driver."""
-
-    b1: FbmPath
-    b2: FbmPath
-    b3: FbmPath
-    master_seed: int
-
-    def __post_init__(self) -> None:
-        ref = self.b1
-        for comp in (self.b2, self.b3):
-            if comp.hurst_H != ref.hurst_H or comp.grid.shape != ref.grid.shape:
-                raise ValueError("driver components must share H and grid")
-            if not np.array_equal(comp.grid, ref.grid):
-                raise ValueError("driver components must share the grid")
-
-    @property
-    def components(self) -> tuple[FbmPath, FbmPath, FbmPath]:
-        return (self.b1, self.b2, self.b3)
-
-    @property
-    def hurst_H(self) -> float:
-        return self.b1.hurst_H
+    def dt(self) -> float:
+        return self.T / self.n_steps
 
     @property
     def grid(self) -> np.ndarray:
-        return self.b1.grid
+        return np.arange(self.n_steps + 1) * self.dt
 
+    @property
     def increments(self) -> np.ndarray:
-        """Component increments stacked as an (N, 3) array."""
-        return np.column_stack([c.increments for c in self.components])
+        """Increments along the grid, shape (N,) or (N, 3)."""
+        return np.diff(self.values, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +215,7 @@ def sample_cholesky(N: int, T: float, H: float, seed) -> FbmPath:
     values = np.concatenate([[0.0], np.cumsum(L @ z)])
     return FbmPath(
         hurst_H=H,
-        grid=np.arange(N + 1) * (T / N),
+        T=T,
         values=values,
         seed=_seed_as_int(seed),
         generator_tag=GENERATOR_CHOLESKY,
@@ -331,20 +289,17 @@ def sample_wood_chan(N: int, T: float, H: float, seed) -> FbmPath:
     lam = _embedding_eigenvalues(N, H)
     rng = np.random.default_rng(seed)
     fgn = _wood_chan_complex_sample(lam, rng, 1)[0, :N].real
-    delta = T / N
-    values = np.concatenate([[0.0], np.cumsum(fgn) * delta ** H])
+    values = np.concatenate([[0.0], np.cumsum(fgn) * (T / N) ** H])
     return FbmPath(
         hurst_H=H,
-        grid=np.arange(N + 1) * delta,
+        T=T,
         values=values,
         seed=_seed_as_int(seed),
         generator_tag=GENERATOR_WOOD_CHAN,
     )
 
 
-def wood_chan_increment_ensemble(
-    N: int, T: float, H: float, seed, n_paths: int, batch: int = 20_000
-) -> np.ndarray:
+def wood_chan_increment_ensemble(N: int, T: float, H: float, seed, n_paths: int) -> np.ndarray:
     """(n_paths, N) independent increment vectors via batched circulant
     embedding; real and imaginary parts both count (they are independent)."""
     N, T = _check_grid_args(N, T)
@@ -356,7 +311,7 @@ def wood_chan_increment_ensemble(
     out = np.empty((n_paths, N))
     filled = 0
     while filled < n_paths:
-        n_complex = min((n_paths - filled + 1) // 2, batch)
+        n_complex = min((n_paths - filled + 1) // 2, _ENSEMBLE_BATCH)
         y = _wood_chan_complex_sample(lam, rng, n_complex)[:, :N]
         block = np.concatenate([y.real, y.imag])[: n_paths - filled]
         out[filled : filled + block.shape[0]] = block * scale
@@ -386,24 +341,29 @@ def component_seeds(master_seed: int, n: int = 3) -> list[int]:
 
 def sample_driver(
     N: int, T: float, H: float, master_seed: int, generator: str = GENERATOR_WOOD_CHAN
-) -> MultiFbmPath:
-    """Three mutually independent fBm components on a shared grid.
+) -> FbmPath:
+    """Three mutually independent fBm components on a shared grid, as the
+    columns of one (N+1, 3) path.
 
-    Component seeds are spawned disjointly from `master_seed`, so the triple is
-    reproducible as a whole while the components stay independent.
+    Column j is the `generator` path seeded with `component_seeds(master_seed)[j]`,
+    so the triple is reproducible as a whole while the components stay
+    independent.
     """
     if generator not in _SAMPLERS:
         raise ValueError(f"unknown generator {generator!r}, expected one of {GENERATORS}")
-    sampler = _SAMPLERS[generator]
-    seeds = component_seeds(master_seed)
-    b1, b2, b3 = (sampler(N, T, H, s) for s in seeds)
-    return MultiFbmPath(b1=b1, b2=b2, b3=b3, master_seed=int(master_seed))
+    paths = [_SAMPLERS[generator](N, T, H, s) for s in component_seeds(master_seed)]
+    return FbmPath(
+        hurst_H=paths[0].hurst_H,
+        T=paths[0].T,
+        values=np.column_stack([p.values for p in paths]),
+        seed=int(master_seed),
+        generator_tag=generator,
+    )
 
 
-def write_driver_csv(driver: MultiFbmPath, path) -> None:
+def write_driver_csv(driver: FbmPath, path) -> None:
     """Dump a driver as CSV rows `t,B1,B2,B3` with 17 significant digits."""
-    b1, b2, b3 = driver.components
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,B1,B2,B3\n")
-        for t, x1, x2, x3 in zip(driver.grid, b1.values, b2.values, b3.values):
+        for t, (x1, x2, x3) in zip(driver.grid, driver.values):
             fh.write(f"{t:.17g},{x1:.17g},{x2:.17g},{x3:.17g}\n")

@@ -18,19 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "HHParams",
-    "State",
-    "GatingRates",
-    "rates",
-    "drift",
-    "diffusion",
-    "equilibrium",
-    "ionic_current",
-    "rest_current",
-    "require_in_domain",
-]
-
 _EXP_MAX = 700.0  # beyond this exp() overflows the double range
 
 

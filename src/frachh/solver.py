@@ -32,26 +32,6 @@ from . import fbm, viability
 from .fbm import GENERATOR_WOOD_CHAN, GENERATORS
 from .kinetics import HHParams, State, rates, require_in_domain
 
-__all__ = [
-    "CLAMP_AND_LOG",
-    "ERROR_ON_EXIT",
-    "CLAMP_POLICIES",
-    "SolverConfig",
-    "ClampEvent",
-    "StepResult",
-    "SimulationResult",
-    "ViabilityBreachError",
-    "DivergenceError",
-    "ConvergenceTable",
-    "require_young_hurst",
-    "step_euler",
-    "simulate",
-    "simulate_deterministic",
-    "convergence_probe",
-    "write_trajectory_csv",
-    "write_clamp_csv",
-]
-
 CLAMP_AND_LOG = "clamp_and_log"
 ERROR_ON_EXIT = "error_on_exit"
 CLAMP_POLICIES = (CLAMP_AND_LOG, ERROR_ON_EXIT)
@@ -177,10 +157,9 @@ def step_euler(
     dB: Sequence[float],
     params: HHParams,
     policy: str = CLAMP_AND_LOG,
-    step: int = 0,
 ) -> StepResult:
     """One explicit Euler step x + b(x) dt + sigma(x) dB with the gate policy
-    applied afterwards; `step` only labels any clamp events raised here."""
+    applied afterwards; clamp events and errors are labelled step 0."""
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     increments = np.asarray(dB, dtype=float).reshape(1, 3)
@@ -189,7 +168,7 @@ def step_euler(
     require_in_domain(x)
     if policy not in CLAMP_POLICIES:
         raise ValueError(f"unknown clamp policy {policy!r}")
-    traj, events, _, _ = _integrate(x, params, dt, 1, increments, policy, first_step=step)
+    traj, events, _, _ = _integrate(x, params, dt, 1, increments, policy)
     return StepResult(State.from_array(traj[1]), tuple(events))
 
 
@@ -200,11 +179,9 @@ def _integrate(
     n_steps: int,
     increments: np.ndarray | None,
     policy: str,
-    first_step: int = 0,
 ) -> tuple[np.ndarray, list[ClampEvent], float, float]:
     """Scalar integration loop behind `step_euler`, `simulate` and
-    `convergence_probe`; `first_step` offsets only the step labels of clamp
-    events and errors.
+    `convergence_probe`.
 
     Returns (trajectory, clamp events, raw gate minimum, raw gate maximum).
     """
@@ -258,18 +235,18 @@ def _integrate(
 
         if new_m < 0.0 or new_m > 1.0:
             if error_on_exit and (new_m < -_BREACH_TOL or new_m > 1.0 + _BREACH_TOL):
-                raise ViabilityBreachError(step=first_step + k, coord="m", pre_value=new_m)
-            events.append(ClampEvent(step=first_step + k, coord="m", pre_value=new_m))
+                raise ViabilityBreachError(step=k, coord="m", pre_value=new_m)
+            events.append(ClampEvent(step=k, coord="m", pre_value=new_m))
             new_m = min(1.0, max(0.0, new_m))
         if new_h < 0.0 or new_h > 1.0:
             if error_on_exit and (new_h < -_BREACH_TOL or new_h > 1.0 + _BREACH_TOL):
-                raise ViabilityBreachError(step=first_step + k, coord="h", pre_value=new_h)
-            events.append(ClampEvent(step=first_step + k, coord="h", pre_value=new_h))
+                raise ViabilityBreachError(step=k, coord="h", pre_value=new_h)
+            events.append(ClampEvent(step=k, coord="h", pre_value=new_h))
             new_h = min(1.0, max(0.0, new_h))
         if new_n < 0.0 or new_n > 1.0:
             if error_on_exit and (new_n < -_BREACH_TOL or new_n > 1.0 + _BREACH_TOL):
-                raise ViabilityBreachError(step=first_step + k, coord="n", pre_value=new_n)
-            events.append(ClampEvent(step=first_step + k, coord="n", pre_value=new_n))
+                raise ViabilityBreachError(step=k, coord="n", pre_value=new_n)
+            events.append(ClampEvent(step=k, coord="n", pre_value=new_n))
             new_n = min(1.0, max(0.0, new_n))
 
         if not (
@@ -278,7 +255,7 @@ def _integrate(
             and math.isfinite(new_h)
             and math.isfinite(new_n)
         ):
-            raise DivergenceError(step=first_step + k)
+            raise DivergenceError(step=k)
 
         m, h, n, v = new_m, new_h, new_n, new_v
         traj[k + 1, 0] = m
@@ -310,10 +287,9 @@ def simulate(x0: State, params: HHParams, config: SolverConfig) -> SimulationRes
         increments = None
     else:
         require_young_hurst(config.hurst_H)
-        driver = fbm.sample_driver(
+        increments = fbm.sample_driver(
             n, n * config.dt, config.hurst_H, config.seed, config.generator
-        )
-        increments = driver.increments()
+        ).increments
     traj, events, pre_min, pre_max = _integrate(
         x0, params, config.dt, n, increments, config.clamp_policy
     )
@@ -396,7 +372,7 @@ def convergence_probe(
         require_young_hurst(H)
         fine_increments = fbm.sample_driver(
             n_fine, n_fine * dt_fine, H, seed, generator
-        ).increments()
+        ).increments
 
     trajectories: dict[float, np.ndarray] = {}
     for d, block in zip(dts, blocks):

@@ -32,15 +32,6 @@ import numpy as np
 from . import kinetics
 from .kinetics import HHParams, State
 
-__all__ = [
-    "BoundarySamplingPlan",
-    "ViabilityReport",
-    "normal_cone_generators",
-    "check_viability",
-    "linear_growth_constant",
-    "apriori_voltage_bound",
-]
-
 # Gate coordinates within 1e-12 of a face count as on it.
 _FACE_ATOL = 1e-12
 # A violation is real once it exceeds 1e-12 of the observed field scale.
@@ -49,7 +40,7 @@ _VIOLATION_RTOL = 1e-12
 _GATE_NAMES = ("m", "h", "n")
 
 
-def normal_cone_generators(x: State, atol: float = _FACE_ATOL) -> list[np.ndarray]:
+def normal_cone_generators(x: State) -> list[np.ndarray]:
     """Extreme rays of the normal cone to [0,1]^3 x R at `x`.
 
     One signed basis vector per active gate face: -e_i where x_i = 0, +e_i
@@ -58,11 +49,11 @@ def normal_cone_generators(x: State, atol: float = _FACE_ATOL) -> list[np.ndarra
     """
     generators = []
     for i, value in enumerate(x.gates):
-        if abs(value) <= atol:
+        if abs(value) <= _FACE_ATOL:
             e = np.zeros(4)
             e[i] = -1.0
             generators.append(e)
-        elif abs(value - 1.0) <= atol:
+        elif abs(value - 1.0) <= _FACE_ATOL:
             e = np.zeros(4)
             e[i] = 1.0
             generators.append(e)

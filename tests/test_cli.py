@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: config round-trip, subcommands, exit codes, outputs."""
 
 import dataclasses
+import re
 
+import numpy as np
 import pytest
 
 from frachh.cli import (
@@ -10,9 +12,10 @@ from frachh.cli import (
     main,
     parse_config_file,
     serialize_config,
+    write_voltage_svg,
 )
 from frachh.kinetics import HHParams
-from frachh.solver import SolverConfig
+from frachh.solver import SimulationResult, SolverConfig
 
 CONFIG_KEYS = [
     "capacitance_C", "current_I", "E_Na", "E_K", "E_L", "gbar_Na", "gbar_K",
@@ -84,6 +87,26 @@ class TestSimulateCommand:
         assert (out / "clamp_events.csv").exists()
         svg = (out / "voltage.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    # 5001 and 100001 samples: the 50 ms and 1000 ms runs at dt = 0.01.
+    @pytest.mark.parametrize("n_samples", [2, 4000, 4001, 5001, 5002, 100_001])
+    def test_svg_keeps_at_most_4000_points_with_both_ends(self, tmp_path, n_samples):
+        # V is zero except -100 at the first and +100 at the last sample, so
+        # the plotted range shows whether both ends were kept.
+        trajectory = np.zeros((n_samples, 4))
+        trajectory[0, 3], trajectory[-1, 3] = -100.0, 100.0
+        result = SimulationResult(
+            grid=np.arange(n_samples) * 0.01, trajectory=trajectory, clamp_events=(),
+            driver_seed=0, max_abs_V=100.0, apriori_bound=np.inf, bound_satisfied=True,
+            gate_pre_clamp_min=0.0, gate_pre_clamp_max=0.0,
+        )
+        path = tmp_path / "voltage.svg"
+        write_voltage_svg(result, path)
+        svg = path.read_text()
+        points = re.search(r'points="([^"]*)"', svg).group(1).split()
+        assert len(points) == n_samples if n_samples <= 4000 else 2000 < len(points) <= 4000
+        assert "range [-100, 100]" in svg
+        assert points[0] == "40.00,280.00" and points[-1] == "920.00,40.00"
 
     def test_trajectory_header_and_determinism(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -17,6 +17,7 @@ from frachh.fbm import (
     CirculantEmbeddingError,
     FactorizationError,
     FbmPath,
+    component_seeds,
     fbm_covariance,
     fgn_autocovariance,
     sample_cholesky,
@@ -65,11 +66,22 @@ class TestPathContainer:
 
     def test_rejects_nonzero_origin(self):
         with pytest.raises(ValueError):
-            FbmPath(0.5, np.array([0.0, 1.0]), np.array([0.5, 1.0]), 0, "cholesky")
-
-    def test_rejects_nonuniform_grid(self):
+            FbmPath(0.5, 1.0, np.array([0.5, 1.0]), 0, "cholesky")
         with pytest.raises(ValueError):
-            FbmPath(0.5, np.array([0.0, 1.0, 3.0]), np.zeros(3), 0, "cholesky")
+            FbmPath(0.5, 1.0, np.array([[0.0, 0.5, 0.0], [1.0, 1.0, 1.0]]), 0, "cholesky")
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_horizon(self, horizon):
+        with pytest.raises(ValueError):
+            FbmPath(0.5, horizon, np.zeros(3), 0, "cholesky")
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.zeros(1), np.zeros((1, 3)), np.zeros((3, 2)), np.zeros((3, 3, 1)), np.float64(0.0)],
+    )
+    def test_rejects_bad_shape(self, values):
+        with pytest.raises(ValueError):
+            FbmPath(0.5, 1.0, values, 0, "cholesky")
 
 
 class TestCholesky:
@@ -147,8 +159,7 @@ class TestSpectralMemo:
     @pytest.mark.parametrize("generator", fbm.GENERATORS)
     def test_driver_independent_of_memo_state(self, cold_memo, generator):
         def values():
-            d = sample_driver(128, 10.0, 0.7, 5, generator)
-            return np.stack([c.values for c in d.components])
+            return sample_driver(128, 10.0, 0.7, 5, generator).values
 
         other_generator = next(g for g in fbm.GENERATORS if g != generator)
         cold = values()
@@ -207,7 +218,7 @@ class TestSpectralMemo:
             assert not cold_memo
         assert len(builds) == 2
         d = sample_driver(2, 1.0, 0.75, 0, generator="cholesky")
-        assert d.b1.values.shape == (3,)
+        assert d.values.shape == (3, 3)
         assert len(cold_memo) == 1
 
     def test_embedding_error_not_memoized(self, cold_memo, monkeypatch):
@@ -222,7 +233,7 @@ class TestSpectralMemo:
                 sample_driver(4, 1.0, 0.7, 0)
             assert not cold_memo
         d = sample_driver(4, 1.0, 0.75, 0)
-        assert d.b1.values.shape == (5,)
+        assert d.values.shape == (5, 3)
         assert len(cold_memo) == 1
 
 
@@ -303,23 +314,36 @@ class TestDriver:
     def test_same_master_seed_identical_triple(self):
         a = sample_driver(64, 50.0, 0.75, 11)
         b = sample_driver(64, 50.0, 0.75, 11)
-        for ca, cb in zip(a.components, b.components):
-            assert np.array_equal(ca.values, cb.values)
+        assert np.array_equal(a.values, b.values)
 
     def test_components_mutually_distinct_and_sub_seeded(self):
         d = sample_driver(64, 50.0, 0.75, 11)
-        b1, b2, b3 = d.components
-        assert len({b1.seed, b2.seed, b3.seed}) == 3
-        assert not np.array_equal(b1.values, b2.values)
-        assert d.master_seed == 11
+        assert d.seed == 11
+        assert len(set(component_seeds(d.seed))) == 3
+        b1, b2, b3 = d.values.T
+        assert not np.array_equal(b1, b2)
+        assert not np.array_equal(b1, b3)
+        assert not np.array_equal(b2, b3)
+
+    @pytest.mark.parametrize("generator", fbm.GENERATORS)
+    @pytest.mark.parametrize(
+        "n_grid,horizon,hurst,seed",
+        [(1, 2.0, 0.75, 0), (2, 1.0, 0.6, 11), (64, 50.0, 0.75, 11), (257, 10.0, 0.95, 3)],
+    )
+    def test_columns_are_component_paths(self, generator, n_grid, horizon, hurst, seed):
+        d = sample_driver(n_grid, horizon, hurst, seed, generator)
+        assert d.values.shape == (n_grid + 1, 3)
+        for j, component_seed in enumerate(component_seeds(seed)):
+            path = fbm._SAMPLERS[generator](n_grid, horizon, hurst, component_seed)
+            assert np.array_equal(d.values[:, j], path.values)
+        assert np.array_equal(d.grid, np.arange(n_grid + 1) * (horizon / n_grid))
+        assert d.increments.shape == (n_grid, 3)
+        per_column = np.column_stack([np.diff(d.values[:, j]) for j in range(3)])
+        assert np.array_equal(d.increments, per_column)
+        assert (d.seed, d.generator_tag, d.hurst_H, d.T) == (seed, generator, hurst, horizon)
 
     def test_components_uncorrelated_at_endpoint(self):
-        ends = np.array(
-            [
-                [c.values[-1] for c in sample_driver(8, 50.0, 0.75, s).components]
-                for s in range(3000)
-            ]
-        )
+        ends = np.array([sample_driver(8, 50.0, 0.75, s).values[-1] for s in range(3000)])
         var_t = fbm_covariance(50.0, 50.0, 0.75)
         se = var_t / math.sqrt(ends.shape[0])
         for i, j in [(0, 1), (0, 2), (1, 2)]:
@@ -327,7 +351,7 @@ class TestDriver:
 
     def test_component_covariance_matches_closed_form(self):
         ends = np.array(
-            [sample_driver(4, 10.0, 0.8, s).b2.values[-1] for s in range(4000)]
+            [sample_driver(4, 10.0, 0.8, s).values[-1, 1] for s in range(4000)]
         )
         theo = fbm_covariance(10.0, 10.0, 0.8)
         se = theo * math.sqrt(2.0 / ends.size)
@@ -335,7 +359,7 @@ class TestDriver:
 
     def test_cholesky_generator_selectable(self):
         d = sample_driver(16, 4.0, 0.7, 2, generator="cholesky")
-        assert all(c.generator_tag == "cholesky" for c in d.components)
+        assert d.generator_tag == "cholesky"
         with pytest.raises(ValueError):
             sample_driver(16, 4.0, 0.7, 2, generator="spectral")
 
@@ -348,4 +372,4 @@ class TestDriver:
         assert len(lines) == 18
         loaded = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.array_equal(loaded[:, 0], d.grid)
-        assert np.array_equal(loaded[:, 2], d.b2.values)
+        assert np.array_equal(loaded[:, 1:], d.values)

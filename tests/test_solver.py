@@ -5,6 +5,7 @@ digits from the affine update x + b(x) dt + sigma(x) dB.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,8 +103,8 @@ class TestStepEuler:
         params = HHParams.classic(current_I=0.0, sigma=10.0)
         with pytest.raises(ViabilityBreachError) as err:
             step_euler(State(0.5, 0.5, 0.5, 0.0), 0.01, (1.0, 0.0, 0.0), params,
-                       policy=ERROR_ON_EXIT, step=7)
-        assert err.value.step == 7
+                       policy=ERROR_ON_EXIT)
+        assert err.value.step == 0
         assert err.value.coord == "m"
         assert err.value.pre_value > 1.0
 
@@ -198,6 +199,15 @@ class TestSimulate:
         with pytest.raises(ViabilityBreachError) as err:
             simulate(eq0, params, cfg)
         assert err.value.coord in ("m", "h", "n")
+
+    def test_error_policy_reports_first_clamped_step(self, eq0):
+        params = HHParams.classic(current_I=10.0, sigma=5.0)
+        cfg = SolverConfig(T=5.0, dt=0.01, hurst_H=0.55, seed=1)
+        first = simulate(eq0, params, cfg).clamp_events[0]
+        assert first.step > 0
+        with pytest.raises(ViabilityBreachError) as err:
+            simulate(eq0, params, replace(cfg, clamp_policy=ERROR_ON_EXIT))
+        assert (err.value.step, err.value.coord, err.value.pre_value) == tuple(first)
 
     def test_unstable_step_reports_divergence(self, eq0, classic_i10):
         with pytest.raises(DivergenceError) as err:
