@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fbm as fbm_mod
 from . import solver as solver_mod
-from .kinetics import HHParams, State, equilibrium
+from .kinetics import HHParams, equilibrium
 from .solver import SimulationResult, SolverConfig
 
 DEFAULT_THRESHOLD = 50.0   # mV
@@ -111,14 +111,13 @@ def bifurcation_sweep(
     config: SolverConfig,
     threshold: float = DEFAULT_THRESHOLD,
     refractory: float = DEFAULT_REFRACTORY,
-    x0: State | None = None,
 ) -> SweepResult:
-    """Deterministic spike counts across applied currents, started from the
-    quiescent equilibrium unless `x0` is given."""
+    """Deterministic spike counts across applied currents, each run started
+    from the quiescent equilibrium."""
     currents = [float(i) for i in I_values]
     if not currents:
         raise ValueError("I_values must not be empty")
-    x0 = x0 or equilibrium(0.0)
+    x0 = equilibrium(0.0)
     rows = []
     for current in sorted(currents):
         run = solver_mod.simulate_deterministic(
@@ -222,10 +221,10 @@ def simulate_recording_series(
     hurst_sequence: Sequence[float],
     params: HHParams,
     config: SolverConfig,
-    x0: State | None = None,
 ) -> RecordingSeries:
-    """Simulate a degrading-fiber recording series: recording k uses Hurst
-    parameter H_k, with H_1 >= H_2 >= ... required on input."""
+    """Simulate a degrading-fiber recording series from the quiescent
+    equilibrium: recording k uses Hurst parameter H_k, with H_1 >= H_2 >= ...
+    required on input."""
     seq = [float(h) for h in hurst_sequence]
     if not seq:
         raise ValueError("hurst_sequence must not be empty")
@@ -237,7 +236,7 @@ def simulate_recording_series(
             )
     for h in seq:
         solver_mod.require_young_hurst(h)
-    x0 = x0 or equilibrium(0.0)
+    x0 = equilibrium(0.0)
     seeds = fbm_mod.component_seeds(config.seed, n=len(seq))
     results = []
     estimates = []
@@ -257,13 +256,16 @@ def simulate_recording_series(
 # ---------------------------------------------------------------------------
 
 
+# Width of the stage-switching windows.
+_WINDOW_MS = 50.0
+
+
 @dataclass(frozen=True)
 class StageSwitchResult:
-    """Windowed regime labels of one long run: each window of `window_ms` is
+    """Windowed regime labels of one long run: each `_WINDOW_MS` window is
     labeled rest/single/multiple by its spike count."""
 
     result: SimulationResult
-    window_ms: float
     spike_counts: tuple[int, ...]
     labels: tuple[str, ...]
 
@@ -275,29 +277,23 @@ class StageSwitchResult:
 def stage_switch_run(
     params: HHParams,
     config: SolverConfig,
-    x0: State | None = None,
     threshold: float = DEFAULT_THRESHOLD,
     refractory: float = DEFAULT_REFRACTORY,
-    window_ms: float = 50.0,
 ) -> StageSwitchResult:
-    """Run one (typically long) simulation and label consecutive windows by
-    their spike count; `switched` reports whether at least two distinct regime
-    labels occur."""
-    if window_ms <= 0.0:
-        raise ValueError(f"window_ms must be positive, got {window_ms!r}")
-    x0 = x0 or equilibrium(0.0)
-    run = solver_mod.simulate(x0, params, config)
+    """Run one (typically long) simulation from the quiescent equilibrium and
+    label consecutive `_WINDOW_MS` windows by their spike count; `switched`
+    reports whether at least two distinct regime labels occur."""
+    run = solver_mod.simulate(equilibrium(0.0), params, config)
     spikes = detect_spikes(run, threshold, refractory).spike_times
     horizon = float(run.grid[-1])
-    n_windows = max(1, int(round(horizon / window_ms)))
+    n_windows = max(1, int(round(horizon / _WINDOW_MS)))
     counts = [0] * n_windows
     for t in spikes:
-        idx = min(int(t // window_ms), n_windows - 1)
+        idx = min(int(t // _WINDOW_MS), n_windows - 1)
         counts[idx] += 1
     labels = tuple(classify_spike_count(c) for c in counts)
     return StageSwitchResult(
         result=run,
-        window_ms=float(window_ms),
         spike_counts=tuple(counts),
         labels=labels,
     )

@@ -38,7 +38,7 @@ GENERATORS = (GENERATOR_CHOLESKY, GENERATOR_WOOD_CHAN)
 _EIG_CLIP_REL = 1e-9
 # Give up doubling the embedding once it exceeds 2^6 * N.
 _MAX_EMBED_FACTOR = 64
-# Complex samples per FFT batch of `wood_chan_increment_ensemble`.
+# Complex samples per FFT batch of `_unit_fgn`.
 _ENSEMBLE_BATCH = 20_000
 
 
@@ -208,25 +208,18 @@ def sample_cholesky(N: int, T: float, H: float, seed) -> FbmPath:
     key is sampled, which holds one 8 N^2-byte factor in memory; each path
     then costs O(N^2).
     """
-    N, T = _check_grid_args(N, T)
-    H = _check_hurst(H)
-    L = _increment_factor(N, T, H)
-    z = np.random.default_rng(seed).standard_normal(N)
-    values = np.concatenate([[0.0], np.cumsum(L @ z)])
+    increments = cholesky_increment_ensemble(N, T, H, seed, 1)[0]
     return FbmPath(
-        hurst_H=H,
+        hurst_H=float(H),
         T=T,
-        values=values,
+        values=np.concatenate([[0.0], np.cumsum(increments)]),
         seed=_seed_as_int(seed),
         generator_tag=GENERATOR_CHOLESKY,
     )
 
 
 def cholesky_increment_ensemble(N: int, T: float, H: float, seed, n_paths: int) -> np.ndarray:
-    """(n_paths, N) array of independent increment vectors from one factor.
-
-    Monte Carlo helper for generator validation.
-    """
+    """(n_paths, N) array of independent increment vectors from one factor."""
     N, T = _check_grid_args(N, T)
     H = _check_hurst(H)
     L = _increment_factor(N, T, H)
@@ -273,12 +266,25 @@ def _embedding_eigenvalues(N: int, H: float) -> np.ndarray:
     return _memoized((GENERATOR_WOOD_CHAN, N, H), lambda: _find_embedding(N, H)[1])
 
 
-def _wood_chan_complex_sample(lam: np.ndarray, rng: np.random.Generator, n_paths: int) -> np.ndarray:
-    """(n_paths, 2M) complex samples whose real and imaginary parts are each
-    exact unit-grid fGn of length 2M (first N entries are used by callers)."""
+def _unit_fgn(N: int, H: float, seed, n_paths: int) -> np.ndarray:
+    """(n_paths, N) independent unit-grid fGn vectors via batched circulant
+    embedding. Each complex FFT sample yields two paths, its real and its
+    imaginary part, which are independent and each exact fGn."""
+    lam = _embedding_eigenvalues(N, H)
     two_m = lam.size
-    z = rng.standard_normal((n_paths, two_m)) + 1j * rng.standard_normal((n_paths, two_m))
-    return np.fft.fft(z * np.sqrt(lam), axis=-1) / math.sqrt(two_m)
+    rng = np.random.default_rng(seed)
+    out = np.empty((n_paths, N))
+    filled = 0
+    while filled < n_paths:
+        n_complex = min((n_paths - filled + 1) // 2, _ENSEMBLE_BATCH)
+        z = rng.standard_normal((n_complex, two_m)) + 1j * rng.standard_normal((n_complex, two_m))
+        z *= np.sqrt(lam)
+        y = (np.fft.fft(z, axis=-1) / math.sqrt(two_m))[:, :N]
+        for part in (y.real, y.imag):
+            rows = part[: n_paths - filled]
+            out[filled : filled + len(rows)] = rows
+            filled += len(rows)
+    return out
 
 
 def sample_wood_chan(N: int, T: float, H: float, seed) -> FbmPath:
@@ -286,14 +292,11 @@ def sample_wood_chan(N: int, T: float, H: float, seed) -> FbmPath:
     summed and scaled to the [0, T] grid. Deterministic given `seed`."""
     N, T = _check_grid_args(N, T)
     H = _check_hurst(H)
-    lam = _embedding_eigenvalues(N, H)
-    rng = np.random.default_rng(seed)
-    fgn = _wood_chan_complex_sample(lam, rng, 1)[0, :N].real
-    values = np.concatenate([[0.0], np.cumsum(fgn) * (T / N) ** H])
+    fgn = _unit_fgn(N, H, seed, 1)[0]
     return FbmPath(
         hurst_H=H,
         T=T,
-        values=values,
+        values=np.concatenate([[0.0], np.cumsum(fgn) * (T / N) ** H]),
         seed=_seed_as_int(seed),
         generator_tag=GENERATOR_WOOD_CHAN,
     )
@@ -301,21 +304,11 @@ def sample_wood_chan(N: int, T: float, H: float, seed) -> FbmPath:
 
 def wood_chan_increment_ensemble(N: int, T: float, H: float, seed, n_paths: int) -> np.ndarray:
     """(n_paths, N) independent increment vectors via batched circulant
-    embedding; real and imaginary parts both count (they are independent)."""
+    embedding."""
     N, T = _check_grid_args(N, T)
     H = _check_hurst(H)
-    n_paths = int(n_paths)
-    lam = _embedding_eigenvalues(N, H)
-    rng = np.random.default_rng(seed)
-    scale = (T / N) ** H
-    out = np.empty((n_paths, N))
-    filled = 0
-    while filled < n_paths:
-        n_complex = min((n_paths - filled + 1) // 2, _ENSEMBLE_BATCH)
-        y = _wood_chan_complex_sample(lam, rng, n_complex)[:, :N]
-        block = np.concatenate([y.real, y.imag])[: n_paths - filled]
-        out[filled : filled + block.shape[0]] = block * scale
-        filled += block.shape[0]
+    out = _unit_fgn(N, H, seed, int(n_paths))
+    out *= (T / N) ** H
     return out
 
 

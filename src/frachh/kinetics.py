@@ -148,8 +148,8 @@ class State:
     def is_finite(self) -> bool:
         return all(math.isfinite(c) for c in (self.m, self.h, self.n, self.V))
 
-    def gates_in_unit_box(self, tol: float = 0.0) -> bool:
-        return all(-tol <= g <= 1.0 + tol for g in self.gates)
+    def gates_in_unit_box(self) -> bool:
+        return all(0.0 <= g <= 1.0 for g in self.gates)
 
 
 def _require_finite(x: State) -> None:

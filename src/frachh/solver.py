@@ -340,49 +340,49 @@ def convergence_probe(
     H: float,
     seed: int,
     dt_list: Sequence[float],
-    clamp_policy: str = CLAMP_AND_LOG,
-    generator: str = GENERATOR_WOOD_CHAN,
 ) -> ConvergenceTable:
-    """Dyadic step-refinement study on one noise path.
+    """Dyadic step-refinement study on one noise path, with the default gate
+    policy and generator of `SolverConfig`.
 
     The driver is sampled once at the finest dt; coarser runs see block sums of
     the same increments (the piecewise-linear restriction of one path), so the
-    gaps isolate the scheme error. `dt_list` must be dyadically nested.
+    gaps isolate the scheme error. Every level must be a valid `SolverConfig`
+    with horizon T, and `dt_list` must be dyadically nested.
     """
     require_in_domain(x0)
     if len(dt_list) == 0:
         raise ValueError("dt_list must not be empty")
     dts = sorted((float(d) for d in dt_list), reverse=True)
     dt_fine = dts[-1]
-    blocks = []
-    for d in dts:
-        j = round(math.log2(d / dt_fine))
-        if j < 0 or abs(d - dt_fine * 2 ** j) > 1e-9 * d:
-            raise ValueError(f"dt_list must be dyadically nested, {d} is not a "
-                             f"power-of-two multiple of {dt_fine}")
-        n = round(T / d)
-        if n < 1 or abs(n * d - T) > 1e-6 * T:
-            raise ValueError(f"every dt must divide T={T}, got {d}")
-        blocks.append(2 ** j)
+    # Nesting is defined for positive finite steps only; any other step fails
+    # in `SolverConfig` below, which names the fault.
+    if all(0.0 < d < math.inf for d in dts):
+        blocks = [2 ** round(math.log2(d / dt_fine)) for d in dts]
+        for d, block in zip(dts, blocks):
+            if abs(d - dt_fine * block) > 1e-9 * d:
+                raise ValueError(f"dt_list must be dyadically nested, {d} is not a "
+                                 f"power-of-two multiple of {dt_fine}")
+    levels = [SolverConfig(T=T, dt=d, hurst_H=H, seed=seed) for d in dts]
+    fine = levels[-1]
 
-    n_fine = round(T / dt_fine)
     if params.is_deterministic:
         fine_increments = None
     else:
         require_young_hurst(H)
         fine_increments = fbm.sample_driver(
-            n_fine, n_fine * dt_fine, H, seed, generator
+            fine.n_steps, fine.n_steps * dt_fine, H, seed, fine.generator
         ).increments
 
     trajectories: dict[float, np.ndarray] = {}
-    for d, block in zip(dts, blocks):
+    for config, block in zip(levels, blocks):
         if fine_increments is None:
             increments = None
         else:
-            n_coarse = n_fine // block
-            increments = fine_increments.reshape(n_coarse, block, 3).sum(axis=1)
-        traj, _, _, _ = _integrate(x0, params, d, round(T / d), increments, clamp_policy)
-        trajectories[d] = traj
+            increments = fine_increments.reshape(-1, block, 3).sum(axis=1)
+        traj, _, _, _ = _integrate(
+            x0, params, config.dt, config.n_steps, increments, config.clamp_policy
+        )
+        trajectories[config.dt] = traj
 
     finest = trajectories[dt_fine]
     entries = []

@@ -4,7 +4,7 @@ The constraint set is K = [0,1]^3 x R (gates in the unit cube, voltage free).
 For a box the normal cone at a boundary point is finitely generated by signed
 coordinate axes of the active faces, so checking the extreme rays suffices:
 the inner product is linear in the cone element. The check evaluates, over a
-boundary sampling plan,
+fixed sweep of the faces, edges and corners of the gate cube,
 
     <s, b(x)>        <= 0   for every generator s (drift points inward), and
     <s, sigma_k(x)>   = 0   for every generator s and noise column k,
@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -36,8 +36,6 @@ from .kinetics import HHParams, State
 _FACE_ATOL = 1e-12
 # A violation is real once it exceeds 1e-12 of the observed field scale.
 _VIOLATION_RTOL = 1e-12
-
-_GATE_NAMES = ("m", "h", "n")
 
 
 def normal_cone_generators(x: State) -> list[np.ndarray]:
@@ -60,48 +58,30 @@ def normal_cone_generators(x: State) -> list[np.ndarray]:
     return generators
 
 
-def _default_v_grid() -> np.ndarray:
-    return np.arange(-50.0, 151.0, 10.0)
+# The sweep: voltages in mV, and the values a free gate coordinate runs over.
+_SWEEP_V = tuple(float(v) for v in range(-50, 151, 10))
+_SWEEP_GATE = tuple(float(g) for g in np.linspace(0.1, 0.9, 5))
 
 
-def _default_interior_grid() -> np.ndarray:
-    return np.linspace(0.1, 0.9, 5)
+def _sweep() -> Iterator[State]:
+    """Every face, edge and corner of [0,1]^3, then the interior, crossed with
+    the voltage grid.
 
-
-@dataclass(frozen=True)
-class BoundarySamplingPlan:
-    """Deterministic sweep of the gate-cube boundary crossed with a voltage grid.
-
-    Every face, edge and corner of [0,1]^3 appears: each gate coordinate is
-    either pinned to 0, pinned to 1, or runs over `interior_values`, with at
-    least one pinned coordinate. The voltage runs over `v_values` throughout.
+    Each gate coordinate is pinned to 0, pinned to 1, or runs over
+    `_SWEEP_GATE`; the mask with no pinned coordinate comes last, so the 4578
+    boundary points precede the 2625 interior ones.
     """
-
-    v_values: np.ndarray = field(default_factory=_default_v_grid)
-    interior_values: np.ndarray = field(default_factory=_default_interior_grid)
-
-    def boundary_states(self) -> Iterator[State]:
-        choices = {0: (0.0,), 1: (1.0,), 2: tuple(float(g) for g in self.interior_values)}
-        for mask in itertools.product((0, 1, 2), repeat=3):
-            if mask == (2, 2, 2):
-                continue
-            for m, h, n in itertools.product(choices[mask[0]], choices[mask[1]], choices[mask[2]]):
-                for v in self.v_values:
-                    yield State(m, h, n, float(v))
-
-    def interior_states(self) -> Iterator[State]:
-        """Companion interior sweep, used only for the voltage-row-of-sigma scan
-        (a row that vanishes on the boundary could still be nonzero inside)."""
-        grid = tuple(float(g) for g in self.interior_values)
-        for m, h, n in itertools.product(grid, grid, grid):
-            for v in self.v_values:
-                yield State(m, h, n, float(v))
+    choices = ((0.0,), (1.0,), _SWEEP_GATE)
+    for mask in itertools.product(choices, repeat=3):
+        for m, h, n in itertools.product(*mask):
+            for v in _SWEEP_V:
+                yield State(m, h, n, v)
 
 
 @dataclass(frozen=True)
 class ViabilityReport:
-    """Outcome of the boundary sweep; `passed` means no violation above
-    1e-12 of the observed drift/diffusion scale."""
+    """Outcome of the sweep; `passed` means no violation above 1e-12 of the
+    observed drift/diffusion scale."""
 
     points_checked: int
     interior_points_checked: int
@@ -114,22 +94,7 @@ class ViabilityReport:
     worst_diffusion_point: State | None
 
     def to_dict(self) -> dict:
-        def state_dict(x: State | None):
-            if x is None:
-                return None
-            return {"m": x.m, "h": x.h, "n": x.n, "V": x.V}
-
-        return {
-            "points_checked": self.points_checked,
-            "interior_points_checked": self.interior_points_checked,
-            "max_drift_violation": self.max_drift_violation,
-            "max_diffusion_violation": self.max_diffusion_violation,
-            "drift_tolerance": self.drift_tolerance,
-            "diffusion_tolerance": self.diffusion_tolerance,
-            "pass": self.passed,
-            "worst_drift_point": state_dict(self.worst_drift_point),
-            "worst_diffusion_point": state_dict(self.worst_diffusion_point),
-        }
+        return {("pass" if k == "passed" else k): v for k, v in asdict(self).items()}
 
     def to_text(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -137,57 +102,45 @@ class ViabilityReport:
 
 def check_viability(
     params: HHParams,
-    plan: BoundarySamplingPlan | None = None,
     drift_fn: Callable[[State], np.ndarray] | None = None,
     diffusion_fn: Callable[[State], np.ndarray] | None = None,
 ) -> ViabilityReport:
-    """Sweep the boundary plan and report the worst inward-drift and
+    """Sweep the gate cube and report the worst inward-drift and
     noise-tangency violations for (b, sigma).
 
     `drift_fn` / `diffusion_fn` default to the model fields with `params`;
-    passing replacements is how adversarial fields are audited.
+    passing replacements is how adversarial fields are audited. The voltage
+    row of sigma is checked at every point, interior ones included: a row
+    that vanishes on the boundary could still be nonzero inside.
     """
-    plan = plan or BoundarySamplingPlan()
     drift_fn = drift_fn or (lambda x: kinetics.drift(x, params))
     diffusion_fn = diffusion_fn or (lambda x: kinetics.diffusion(x, params))
 
-    points = 0
+    points = interior_points = 0
     max_drift = -math.inf
-    max_diff = 0.0
-    drift_scale = 0.0
-    diff_scale = 0.0
+    max_diff = drift_scale = diff_scale = 0.0
     worst_drift_point: State | None = None
     worst_diff_point: State | None = None
 
-    for x in plan.boundary_states():
-        points += 1
-        b = np.asarray(drift_fn(x), dtype=float)
-        sigma = np.asarray(diffusion_fn(x), dtype=float)
-        for s in normal_cone_generators(x):
-            sb = float(s @ b)
-            drift_scale = max(drift_scale, abs(sb))
-            if sb > max_drift:
-                max_drift = sb
-                worst_drift_point = x
-            for k in range(sigma.shape[1]):
-                ssig = abs(float(s @ sigma[:, k]))
-                if ssig > max_diff:
-                    max_diff = ssig
-                    worst_diff_point = x
-        row_v = float(np.max(np.abs(sigma[3, :])))
-        diff_scale = max(diff_scale, float(np.max(np.abs(sigma))))
-        if row_v > max_diff:
-            max_diff = row_v
-            worst_diff_point = x
-
-    interior_points = 0
-    for x in plan.interior_states():
-        interior_points += 1
+    for x in _sweep():
+        generators = normal_cone_generators(x)
         sigma = np.asarray(diffusion_fn(x), dtype=float)
         diff_scale = max(diff_scale, float(np.max(np.abs(sigma))))
-        row_v = float(np.max(np.abs(sigma[3, :])))
-        if row_v > max_diff:
-            max_diff = row_v
+        diff = float(np.max(np.abs(sigma[3, :])))
+        if not generators:
+            interior_points += 1
+        else:
+            points += 1
+            b = np.asarray(drift_fn(x), dtype=float)
+            for s in generators:
+                sb = float(s @ b)
+                drift_scale = max(drift_scale, abs(sb))
+                if sb > max_drift:
+                    max_drift = sb
+                    worst_drift_point = x
+                diff = max(diff, float(np.max(np.abs(s @ sigma))))
+        if diff > max_diff:
+            max_diff = diff
             worst_diff_point = x
 
     drift_tol = _VIOLATION_RTOL * max(1.0, drift_scale)

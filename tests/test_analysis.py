@@ -215,7 +215,3 @@ class TestStageSwitching:
         assert len(result.labels) == 4
         for count, label in zip(result.spike_counts, result.labels):
             assert classify_spike_count(count) == label
-
-    def test_bad_window_rejected(self, classic_i10):
-        with pytest.raises(ValueError):
-            stage_switch_run(classic_i10, SolverConfig(T=10.0, dt=0.01), window_ms=0.0)

@@ -257,6 +257,25 @@ class TestConvergenceProbe:
         with pytest.raises(ValueError):
             convergence_probe(eq0, classic_i10_noisy, 1.0, 0.4, 0, [0.01, 0.005])
 
+    @pytest.mark.parametrize(
+        "T, H, dt_list, message",
+        [
+            (1.0, 1.7, [0.01, 0.005], "hurst_H must lie in"),
+            (math.nan, 0.75, [0.01], "T must be positive and finite"),
+            (1.0, 0.75, [0.01, math.nan], "dt must be positive and finite"),
+            (1.0, 0.75, [math.nan, 0.01], "dt must be positive and finite"),
+            (1.0, 0.75, [0.01, -0.01], "dt must be positive and finite"),
+            (1.0, 0.75, [-0.01], "dt must be positive and finite"),
+            (1.0, 0.75, [0.01, 0.0], "dt must be positive and finite"),
+            (1.0, 0.75, [math.inf, 0.01], "dt must be positive and finite"),
+            (1.0, 0.75, [0.3, 0.15], "must divide T"),
+        ],
+    )
+    def test_levels_validated_as_solver_configs(self, eq0, classic_i10, T, H, dt_list, message):
+        # Deterministic params: the Hurst range is still a config field.
+        with pytest.raises(ValueError, match=message):
+            convergence_probe(eq0, classic_i10, T, H, 0, dt_list)
+
 
 class TestCsv:
     def test_trajectory_csv_round_trips_exactly(self, tmp_path, eq0, classic_i10):

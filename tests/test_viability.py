@@ -8,7 +8,6 @@ import pytest
 from frachh import solver
 from frachh.kinetics import HHParams, State, diffusion, drift
 from frachh.viability import (
-    BoundarySamplingPlan,
     apriori_voltage_bound,
     check_viability,
     linear_growth_constant,
@@ -109,14 +108,33 @@ class TestCheckViability:
         assert '"points_checked": 4578' in text
         assert '"pass": true' in text
 
-    def test_custom_plan_is_honored(self, classic_i10_noisy):
-        plan = BoundarySamplingPlan(
-            v_values=np.array([0.0]), interior_values=np.array([0.5])
+    def test_readme_reports_are_pinned(self, classic_i10_noisy):
+        # The reports of `frachh viability --sigma 0.25` with and without
+        # `--sigma-row4 0.1`; ties go to the first point of the sweep.
+        def row4(x):
+            sigma = diffusion(x, classic_i10_noisy)
+            sigma[3, :] = 0.1
+            return sigma
+
+        corner = {"m": 0.0, "h": 0.0, "n": 0.0}
+        expected = {
+            "points_checked": 4578,
+            "interior_points_checked": 2625,
+            "max_drift_violation": -3.8715905910348355e-05,
+            "max_diffusion_violation": 0.0,
+            "drift_tolerance": 6.433296268825178e-11,
+            "diffusion_tolerance": 1e-12,
+            "pass": True,
+            "worst_drift_point": {**corner, "V": 150.0},
+            "worst_diffusion_point": None,
+        }
+        assert check_viability(classic_i10_noisy).to_dict() == expected
+        expected.update(
+            max_diffusion_violation=0.1,
+            worst_diffusion_point={**corner, "V": -50.0},
         )
-        report = check_viability(classic_i10_noisy, plan=plan)
-        assert report.passed
-        # 26 boundary gate combinations x 1 voltage
-        assert report.points_checked == 26
+        expected["pass"] = False
+        assert check_viability(classic_i10_noisy, diffusion_fn=row4).to_dict() == expected
 
 
 class TestVoltageBound:
