@@ -282,11 +282,18 @@ def stage_switch_run(
 ) -> StageSwitchResult:
     """Run one (typically long) simulation from the quiescent equilibrium and
     label consecutive `_WINDOW_MS` windows by their spike count; `switched`
-    reports whether at least two distinct regime labels occur."""
+    reports whether at least two distinct regime labels occur.
+
+    The horizon `config.T` must be a whole number of windows (up to rounding);
+    any other horizon raises `ValueError` before integrating, since a partial
+    or merged window would be labeled on a different width."""
+    n_windows = round(config.T / _WINDOW_MS)
+    if n_windows < 1 or abs(n_windows * _WINDOW_MS - config.T) > 1e-6 * config.T:
+        raise ValueError(
+            f"T={config.T} must be a whole number of {_WINDOW_MS} ms windows"
+        )
     run = solver_mod.simulate(equilibrium(0.0), params, config)
     spikes = detect_spikes(run, threshold, refractory).spike_times
-    horizon = float(run.grid[-1])
-    n_windows = max(1, int(round(horizon / _WINDOW_MS)))
     counts = [0] * n_windows
     for t in spikes:
         idx = min(int(t // _WINDOW_MS), n_windows - 1)
@@ -306,15 +313,13 @@ def stage_switch_run(
 
 def write_sweep_csv(sweep: SweepResult, path) -> None:
     """Rows `I,spike_count`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("I,spike_count\n")
-        for current, count in sweep.table:
-            fh.write(f"{current:.17g},{count}\n")
+    fbm_mod._write_csv(path, "I,spike_count", "%.17g,%d\n", sweep.table)
 
 
 def write_series_csv(series: RecordingSeries, path) -> None:
     """Rows `k,H,exponent,fit_residual` (k is 1-based)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,H,exponent,fit_residual\n")
-        for k, (h, est) in enumerate(zip(series.hurst_sequence, series.estimates), start=1):
-            fh.write(f"{k},{h:.17g},{est.exponent:.17g},{est.fit_residual:.17g}\n")
+    rows = [
+        (k, h, est.exponent, est.fit_residual)
+        for k, (h, est) in enumerate(zip(series.hurst_sequence, series.estimates), start=1)
+    ]
+    fbm_mod._write_csv(path, "k,H,exponent,fit_residual", "%d,%.17g,%.17g,%.17g\n", rows)

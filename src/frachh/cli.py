@@ -289,7 +289,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float, help="shared noise amplitude for all gates")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--generator", choices=fbm.GENERATORS, help="fBm generator")
-    p.add_argument("--clamp-policy", dest="clamp_policy", choices=solver.CLAMP_POLICIES)
     p.add_argument("--threshold", type=float, help="spike threshold in mV")
     p.add_argument("--refractory", type=float, help="spike refractory gap in ms")
     p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")

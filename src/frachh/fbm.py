@@ -22,6 +22,7 @@ statistical properties are.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -40,6 +41,8 @@ _EIG_CLIP_REL = 1e-9
 _MAX_EMBED_FACTOR = 64
 # Complex samples per FFT batch of `_unit_fgn`.
 _ENSEMBLE_BATCH = 20_000
+# Rows per formatted block of a CSV file.
+_CSV_BLOCK = 4096
 
 
 class FactorizationError(RuntimeError):
@@ -354,9 +357,25 @@ def sample_driver(
     )
 
 
+def _write_csv(path, header: str, template: str, rows) -> None:
+    """Write `header`, then `template % row` for every row, as utf-8; the one
+    CSV writer behind every `write_*_csv` of the package. Rows are formatted
+    and written `_CSV_BLOCK` at a time, which bounds the memory a write takes."""
+    rows = iter(rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        while block := "".join(template % row for row in itertools.islice(rows, _CSV_BLOCK)):
+            fh.write(block)
+
+
+def _column_rows(*columns):
+    """Rows of Python scalars from equal-length 1-d arrays, converted
+    `_CSV_BLOCK` rows at a time."""
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        yield from zip(*(c[start:start + _CSV_BLOCK].tolist() for c in columns))
+
+
 def write_driver_csv(driver: FbmPath, path) -> None:
     """Dump a driver as CSV rows `t,B1,B2,B3` with 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,B1,B2,B3\n")
-        for t, (x1, x2, x3) in zip(driver.grid, driver.values):
-            fh.write(f"{t:.17g},{x1:.17g},{x2:.17g},{x3:.17g}\n")
+    _write_csv(path, "t,B1,B2,B3", "%.17g,%.17g,%.17g,%.17g\n",
+               _column_rows(driver.grid, *driver.values.T))

@@ -4,11 +4,12 @@ One scheme step from state (m, h, n, V) with driver increments dB:
 
     x' = x + b(x) dt + sigma(x) dB
 
-followed by the configured gate policy. Continuous-time theory keeps the gates
-in [0,1], but the Euler image of the cube need not stay inside it, so the
-default `clamp_and_log` policy projects gates back onto [0,1] and records every
-event; the clamp count is a discretization artifact and shrinks as dt does.
-`error_on_exit` instead raises once a gate leaves [0,1] by more than 1e-9.
+Continuous-time theory keeps the gates in [0,1], but the Euler image of the
+cube need not stay inside it, so each gate is projected back onto [0,1] and
+every projection is logged as a `ClampEvent` with its raw value. The clamp log
+is the record of where the scheme breaks viability: a breach of tolerance tol
+is the first logged event whose raw value lies more than tol outside [0,1].
+The clamp count is a discretization artifact and shrinks as dt does.
 
 Stochastic runs are restricted to Hurst parameters in ]1/2,1[, where the
 pathwise integral is a Young integral and the explicit first-order scheme is
@@ -32,26 +33,6 @@ from . import fbm, viability
 from .fbm import GENERATOR_WOOD_CHAN, GENERATORS
 from .kinetics import HHParams, State, rates, require_in_domain
 
-CLAMP_AND_LOG = "clamp_and_log"
-ERROR_ON_EXIT = "error_on_exit"
-CLAMP_POLICIES = (CLAMP_AND_LOG, ERROR_ON_EXIT)
-
-# error_on_exit tolerates boundary overshoot up to this much before raising.
-_BREACH_TOL = 1e-9
-
-class ViabilityBreachError(RuntimeError):
-    """A gate left [0,1] by more than the tolerance under error_on_exit."""
-
-    def __init__(self, step: int, coord: str, pre_value: float):
-        super().__init__(
-            f"gate {coord} left [0,1] at step {step} (pre-clamp value {pre_value!r}); "
-            f"tolerance {_BREACH_TOL}"
-        )
-        self.step = step
-        self.coord = coord
-        self.pre_value = pre_value
-
-
 class DivergenceError(RuntimeError):
     """The state became non-finite during integration."""
 
@@ -72,13 +53,12 @@ class ClampEvent(NamedTuple):
 class SolverConfig:
     """Integration setup: horizon T, step dt (dt must divide T up to rounding),
     Hurst parameter for stochastic runs (ignored when all sigmas are zero),
-    driver seed, gate policy and fBm generator."""
+    driver seed and fBm generator."""
 
     T: float = 50.0
     dt: float = 0.01
     hurst_H: float = 0.75
     seed: int = 0
-    clamp_policy: str = CLAMP_AND_LOG
     generator: str = GENERATOR_WOOD_CHAN
 
     def __post_init__(self) -> None:
@@ -91,10 +71,6 @@ class SolverConfig:
             raise ValueError(f"dt={self.dt} must divide T={self.T} up to rounding")
         if not (0.0 < self.hurst_H < 1.0):
             raise ValueError(f"hurst_H must lie in ]0,1[, got {self.hurst_H!r}")
-        if self.clamp_policy not in CLAMP_POLICIES:
-            raise ValueError(
-                f"clamp_policy must be one of {CLAMP_POLICIES}, got {self.clamp_policy!r}"
-            )
         if self.generator not in GENERATORS:
             raise ValueError(f"generator must be one of {GENERATORS}, got {self.generator!r}")
 
@@ -112,8 +88,9 @@ class SimulationResult:
     """Full trajectory plus the bookkeeping the invariants are asserted on.
 
     `trajectory` has one row per grid point, columns (m, h, n, V).
-    `gate_pre_clamp_min/max` are the extremes of the raw gate proposals before
-    any projection, so boundary overshoot is visible even under clamping.
+    `gate_pre_clamp_min/max` are the extremes of the starting gates and of the
+    raw gate proposals before any projection, so boundary overshoot is visible
+    even under clamping.
     """
 
     grid: np.ndarray
@@ -146,51 +123,25 @@ class SimulationResult:
         return self.state(self.grid.size - 1)
 
 
-class StepResult(NamedTuple):
-    state: State
-    clamp_events: tuple[ClampEvent, ...]
-
-
-def step_euler(
-    x: State,
-    dt: float,
-    dB: Sequence[float],
-    params: HHParams,
-    policy: str = CLAMP_AND_LOG,
-) -> StepResult:
-    """One explicit Euler step x + b(x) dt + sigma(x) dB with the gate policy
-    applied afterwards; clamp events and errors are labelled step 0."""
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    increments = np.asarray(dB, dtype=float).reshape(1, 3)
-    if not np.isfinite(increments).all():
-        raise ValueError(f"driver increments must be finite, got {dB!r}")
-    require_in_domain(x)
-    if policy not in CLAMP_POLICIES:
-        raise ValueError(f"unknown clamp policy {policy!r}")
-    traj, events, _, _ = _integrate(x, params, dt, 1, increments, policy)
-    return StepResult(State.from_array(traj[1]), tuple(events))
-
-
 def _integrate(
     x0: State,
     params: HHParams,
     dt: float,
     n_steps: int,
     increments: np.ndarray | None,
-    policy: str,
-) -> tuple[np.ndarray, list[ClampEvent], float, float]:
-    """Scalar integration loop behind `step_euler`, `simulate` and
-    `convergence_probe`.
+) -> tuple[np.ndarray, list[ClampEvent]]:
+    """The integration loop behind `simulate` and `convergence_probe`: Euler
+    steps from `x0`, each gate clamped back onto [0,1] and logged when its raw
+    proposal leaves it.
 
-    Returns (trajectory, clamp events, raw gate minimum, raw gate maximum).
+    `increments` has one row of driver increments per step, or is None for a
+    noise-free run. Returns (trajectory, clamp events).
     """
     C = params.capacitance_C
     I = params.current_I
     g_na, g_k, g_l = params.gbar_Na, params.gbar_K, params.gbar_L
     e_na, e_k, e_l = params.E_Na, params.E_K, params.E_L
     s1, s2, s3 = params.sigmas
-    error_on_exit = policy == ERROR_ON_EXIT
 
     if increments is not None:
         inc1 = increments[:, 0].tolist()
@@ -201,8 +152,6 @@ def _integrate(
     traj = np.empty((n_steps + 1, 4))
     traj[0] = (m, h, n, v)
     events: list[ClampEvent] = []
-    pre_min = min(m, h, n)
-    pre_max = max(m, h, n)
 
     for k in range(n_steps):
         am, bm, ah, bh, an, bn = rates(v)
@@ -220,32 +169,13 @@ def _integrate(
             new_h += s2 * h * (1.0 - h) * inc2[k]
             new_n += s3 * n * (1.0 - n) * inc3[k]
 
-        if new_m < pre_min:
-            pre_min = new_m
-        elif new_m > pre_max:
-            pre_max = new_m
-        if new_h < pre_min:
-            pre_min = new_h
-        elif new_h > pre_max:
-            pre_max = new_h
-        if new_n < pre_min:
-            pre_min = new_n
-        elif new_n > pre_max:
-            pre_max = new_n
-
         if new_m < 0.0 or new_m > 1.0:
-            if error_on_exit and (new_m < -_BREACH_TOL or new_m > 1.0 + _BREACH_TOL):
-                raise ViabilityBreachError(step=k, coord="m", pre_value=new_m)
             events.append(ClampEvent(step=k, coord="m", pre_value=new_m))
             new_m = min(1.0, max(0.0, new_m))
         if new_h < 0.0 or new_h > 1.0:
-            if error_on_exit and (new_h < -_BREACH_TOL or new_h > 1.0 + _BREACH_TOL):
-                raise ViabilityBreachError(step=k, coord="h", pre_value=new_h)
             events.append(ClampEvent(step=k, coord="h", pre_value=new_h))
             new_h = min(1.0, max(0.0, new_h))
         if new_n < 0.0 or new_n > 1.0:
-            if error_on_exit and (new_n < -_BREACH_TOL or new_n > 1.0 + _BREACH_TOL):
-                raise ViabilityBreachError(step=k, coord="n", pre_value=new_n)
             events.append(ClampEvent(step=k, coord="n", pre_value=new_n))
             new_n = min(1.0, max(0.0, new_n))
 
@@ -263,7 +193,7 @@ def _integrate(
         traj[k + 1, 2] = n
         traj[k + 1, 3] = v
 
-    return traj, events, pre_min, pre_max
+    return traj, events
 
 
 def require_young_hurst(H: float) -> None:
@@ -278,21 +208,28 @@ def require_young_hurst(H: float) -> None:
         )
 
 
+def _driver_increments(params: HHParams, config: SolverConfig) -> np.ndarray | None:
+    """Per-step increments of a freshly sampled three-component driver on
+    `config`'s grid, or None when all sigmas are zero."""
+    if params.is_deterministic:
+        return None
+    require_young_hurst(config.hurst_H)
+    n = config.n_steps
+    return fbm.sample_driver(
+        n, n * config.dt, config.hurst_H, config.seed, config.generator
+    ).increments
+
+
 def simulate(x0: State, params: HHParams, config: SolverConfig) -> SimulationResult:
     """Integrate the model over [0, T] against a freshly sampled three-component
     driver (skipped when all sigmas are zero). Deterministic given its inputs."""
     require_in_domain(x0)
     n = config.n_steps
-    if params.is_deterministic:
-        increments = None
-    else:
-        require_young_hurst(config.hurst_H)
-        increments = fbm.sample_driver(
-            n, n * config.dt, config.hurst_H, config.seed, config.generator
-        ).increments
-    traj, events, pre_min, pre_max = _integrate(
-        x0, params, config.dt, n, increments, config.clamp_policy
-    )
+    traj, events = _integrate(x0, params, config.dt, n, _driver_increments(params, config))
+    # The raw gate extremes, exactly: an unclamped proposal is stored as is, a
+    # clamped one is logged, and the clamp targets 0 and 1 never widen the
+    # range, since x0 lies in the box.
+    gates = [traj[:, :3].min(), traj[:, :3].max(), *(ev.pre_value for ev in events)]
     max_abs_v = float(np.abs(traj[:, 3]).max())
     bound = viability.apriori_voltage_bound(params, x0, n * config.dt)
     return SimulationResult(
@@ -303,8 +240,8 @@ def simulate(x0: State, params: HHParams, config: SolverConfig) -> SimulationRes
         max_abs_V=max_abs_v,
         apriori_bound=bound,
         bound_satisfied=max_abs_v <= bound,
-        gate_pre_clamp_min=pre_min,
-        gate_pre_clamp_max=pre_max,
+        gate_pre_clamp_min=float(min(gates)),
+        gate_pre_clamp_max=float(max(gates)),
     )
 
 
@@ -363,15 +300,7 @@ def convergence_probe(
                 raise ValueError(f"dt_list must be dyadically nested, {d} is not a "
                                  f"power-of-two multiple of {dt_fine}")
     levels = [SolverConfig(T=T, dt=d, hurst_H=H, seed=seed) for d in dts]
-    fine = levels[-1]
-
-    if params.is_deterministic:
-        fine_increments = None
-    else:
-        require_young_hurst(H)
-        fine_increments = fbm.sample_driver(
-            fine.n_steps, fine.n_steps * dt_fine, H, seed, fine.generator
-        ).increments
+    fine_increments = _driver_increments(params, levels[-1])
 
     trajectories: dict[float, np.ndarray] = {}
     for config, block in zip(levels, blocks):
@@ -379,10 +308,9 @@ def convergence_probe(
             increments = None
         else:
             increments = fine_increments.reshape(-1, block, 3).sum(axis=1)
-        traj, _, _, _ = _integrate(
-            x0, params, config.dt, config.n_steps, increments, config.clamp_policy
+        trajectories[config.dt], _ = _integrate(
+            x0, params, config.dt, config.n_steps, increments
         )
-        trajectories[config.dt] = traj
 
     finest = trajectories[dt_fine]
     entries = []
@@ -414,16 +342,12 @@ def convergence_probe(
 
 def write_trajectory_csv(result: SimulationResult, path) -> None:
     """Rows `t,V,m,h,n` with 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,V,m,h,n\n")
-        for t, (m, h, n, v) in zip(result.grid, result.trajectory):
-            fh.write(f"{t:.17g},{v:.17g},{m:.17g},{h:.17g},{n:.17g}\n")
+    m, h, n, v = result.trajectory.T
+    fbm._write_csv(path, "t,V,m,h,n", "%.17g,%.17g,%.17g,%.17g,%.17g\n",
+                   fbm._column_rows(result.grid, v, m, h, n))
 
 
 def write_clamp_csv(result: SimulationResult, path) -> None:
     """Rows `step,coord,pre_value`; step is the 0-based index of the Euler step
     whose raw proposal was projected."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,coord,pre_value\n")
-        for ev in result.clamp_events:
-            fh.write(f"{ev.step},{ev.coord},{ev.pre_value:.17g}\n")
+    fbm._write_csv(path, "step,coord,pre_value", "%d,%s,%.17g\n", result.clamp_events)

@@ -111,7 +111,8 @@ def check_viability(
     `drift_fn` / `diffusion_fn` default to the model fields with `params`;
     passing replacements is how adversarial fields are audited. The voltage
     row of sigma is checked at every point, interior ones included: a row
-    that vanishes on the boundary could still be nonzero inside.
+    that vanishes on the boundary could still be nonzero inside. A non-finite
+    field value counts as an infinite violation, so it fails the audit.
     """
     drift_fn = drift_fn or (lambda x: kinetics.drift(x, params))
     diffusion_fn = diffusion_fn or (lambda x: kinetics.diffusion(x, params))
@@ -125,8 +126,12 @@ def check_viability(
     for x in _sweep():
         generators = normal_cone_generators(x)
         sigma = np.asarray(diffusion_fn(x), dtype=float)
-        diff_scale = max(diff_scale, float(np.max(np.abs(sigma))))
-        diff = float(np.max(np.abs(sigma[3, :])))
+        peak = float(np.max(np.abs(sigma)))
+        if math.isfinite(peak):
+            diff_scale = max(diff_scale, peak)
+            diff = float(np.max(np.abs(sigma[3, :])))
+        else:
+            diff = math.inf
         if not generators:
             interior_points += 1
         else:
@@ -134,7 +139,10 @@ def check_viability(
             b = np.asarray(drift_fn(x), dtype=float)
             for s in generators:
                 sb = float(s @ b)
-                drift_scale = max(drift_scale, abs(sb))
+                if math.isfinite(sb):
+                    drift_scale = max(drift_scale, abs(sb))
+                else:
+                    sb = math.inf
                 if sb > max_drift:
                     max_drift = sb
                     worst_drift_point = x

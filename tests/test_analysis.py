@@ -215,3 +215,12 @@ class TestStageSwitching:
         assert len(result.labels) == 4
         for count, label in zip(result.spike_counts, result.labels):
             assert classify_spike_count(count) == label
+
+    @pytest.mark.parametrize("T", [120.0, 30.0])
+    def test_partial_window_rejected_before_integrating(self, classic_i10, monkeypatch, T):
+        def no_run(*args):
+            raise AssertionError("integrated before validating the horizon")
+
+        monkeypatch.setattr(solver, "simulate", no_run)
+        with pytest.raises(ValueError, match="whole number of 50.0 ms windows"):
+            stage_switch_run(classic_i10, SolverConfig(T=T, dt=0.01))

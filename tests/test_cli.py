@@ -20,7 +20,7 @@ from frachh.solver import SimulationResult, SolverConfig
 CONFIG_KEYS = [
     "capacitance_C", "current_I", "E_Na", "E_K", "E_L", "gbar_Na", "gbar_K",
     "gbar_L", "sigma_1", "sigma_2", "sigma_3", "T", "dt", "hurst", "seed",
-    "clamp_policy", "generator", "threshold", "refractory", "out_dir",
+    "generator", "threshold", "refractory", "out_dir",
 ]
 
 

@@ -1,11 +1,10 @@
-"""Euler stepping, full simulations, policies, and the refinement probe.
+"""Euler stepping, full simulations, the clamp log, and the refinement probe.
 
 The single-step oracle values were computed independently with mpmath at 50
 digits from the affine update x + b(x) dt + sigma(x) dB.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,15 +14,11 @@ from hypothesis import strategies as st
 from frachh import analysis
 from frachh.kinetics import HHParams, State, drift, rest_current
 from frachh.solver import (
-    CLAMP_AND_LOG,
-    ERROR_ON_EXIT,
     DivergenceError,
     SolverConfig,
-    ViabilityBreachError,
     convergence_probe,
     simulate,
     simulate_deterministic,
-    step_euler,
     write_clamp_csv,
     write_trajectory_csv,
 )
@@ -50,7 +45,7 @@ class TestConfig:
             dict(T=10.0, dt=0.3),  # 0.3 does not divide 10
             dict(hurst_H=0.0),
             dict(hurst_H=1.0),
-            dict(clamp_policy="reflect"),
+            dict(T=math.inf),
             dict(generator="spectral"),
         ],
     )
@@ -68,56 +63,42 @@ class TestConfig:
 
 
 class TestStepEuler:
-    def test_fixed_point_with_matching_current(self, eq0):
+    def test_fixed_point_with_matching_current(self, eq0, euler_step):
         params = HHParams.classic(current_I=rest_current(HHParams.classic()))
-        new = step_euler(eq0, 0.01, (0.0, 0.0, 0.0), params).state
+        new, _ = euler_step(eq0, 0.01, (0.0, 0.0, 0.0), params)
         assert new.m == pytest.approx(eq0.m, abs=1e-15)
         assert new.h == pytest.approx(eq0.h, abs=1e-15)
         assert new.n == pytest.approx(eq0.n, abs=1e-15)
         assert new.V == pytest.approx(eq0.V, abs=1e-15)
 
-    def test_zero_noise_amplitude_ignores_driver(self, eq0, classic_i10):
-        a = step_euler(eq0, 0.01, (0.0, 0.0, 0.0), classic_i10).state
-        b = step_euler(eq0, 0.01, (5.0, -9.0, 2.0), classic_i10).state
+    def test_zero_noise_amplitude_ignores_driver(self, eq0, classic_i10, euler_step):
+        a, _ = euler_step(eq0, 0.01, (0.0, 0.0, 0.0), classic_i10)
+        b, _ = euler_step(eq0, 0.01, (5.0, -9.0, 2.0), classic_i10)
         assert a == b
 
-    def test_affine_update_oracle(self, eq0):
+    def test_affine_update_oracle(self, eq0, euler_step):
         params = HHParams.classic(current_I=10.0, sigma=0.25)
-        new = step_euler(eq0, 0.01, (0.1, -0.1, 0.05), params).state
+        new, _ = euler_step(eq0, 0.01, (0.1, -0.1, 0.05), params)
         assert new.m == pytest.approx(STEP_M1, rel=1e-14)
         assert new.h == pytest.approx(STEP_H1, rel=1e-14)
         assert new.n == pytest.approx(STEP_N1, rel=1e-14)
         assert new.V == pytest.approx(STEP_V1, rel=1e-14)
 
-    def test_clamp_policy_records_events(self):
+    def test_clamp_policy_records_events(self, euler_step):
         params = HHParams.classic(current_I=0.0, sigma=10.0)
         x = State(0.5, 0.5, 0.5, 0.0)
-        result = step_euler(x, 0.01, (1.0, -1.0, 0.0), params)
-        assert result.state.m == 1.0
-        assert result.state.h == 0.0
-        coords = {ev.coord for ev in result.clamp_events}
-        assert coords == {"m", "h"}
-        assert result.clamp_events[0].pre_value > 1.0
+        new, events = euler_step(x, 0.01, (1.0, -1.0, 0.0), params)
+        assert new.m == 1.0
+        assert new.h == 0.0
+        assert {ev.coord for ev in events} == {"m", "h"}
+        assert events[0].step == 0
+        assert events[0].pre_value > 1.0
 
-    def test_error_policy_raises_on_breach(self):
-        params = HHParams.classic(current_I=0.0, sigma=10.0)
-        with pytest.raises(ViabilityBreachError) as err:
-            step_euler(State(0.5, 0.5, 0.5, 0.0), 0.01, (1.0, 0.0, 0.0), params,
-                       policy=ERROR_ON_EXIT)
+    def test_nan_increment_diverges(self, classic_i10_noisy, euler_step):
+        with pytest.raises(DivergenceError) as err:
+            euler_step(State(0.5, 0.5, 0.5, 0.0), 0.01, (math.nan, 0.0, 0.0),
+                       classic_i10_noisy)
         assert err.value.step == 0
-        assert err.value.coord == "m"
-        assert err.value.pre_value > 1.0
-
-    def test_rejects_gates_outside_box(self, classic_i10):
-        with pytest.raises(ValueError):
-            step_euler(State(1.5, 0.5, 0.5, 0.0), 0.01, (0, 0, 0), classic_i10)
-
-    @pytest.mark.parametrize("policy", [CLAMP_AND_LOG, ERROR_ON_EXIT])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_non_finite_increment(self, policy, bad, classic_i10_noisy):
-        with pytest.raises(ValueError, match="finite"):
-            step_euler(State(0.5, 0.5, 0.5, 0.0), 0.01, (bad, 0.0, 0.0),
-                       classic_i10_noisy, policy=policy)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -126,15 +107,15 @@ class TestStepEuler:
         dt=st.floats(1e-3, 0.03),
         current=st.floats(0.0, 15.0),
     )
-    def test_noise_free_step_matches_drift(self, gates, v, dt, current):
+    def test_noise_free_step_matches_drift(self, gates, v, dt, current, euler_step):
         # The integration loop and `kinetics.drift` (used by the viability
         # audit) state the same vector field twice; pin them together.
         x = State(*gates, v)
         params = HHParams.classic(current_I=current, sigma=0.25)
-        result = step_euler(x, dt, (0.0, 0.0, 0.0), params)
-        assume(not result.clamp_events)
+        new, events = euler_step(x, dt, (0.0, 0.0, 0.0), params)
+        assume(not events)
         ref = x.as_array() + dt * drift(x, params)
-        got = result.state.as_array()
+        got = new.as_array()
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
@@ -192,22 +173,13 @@ class TestSimulate:
         ev = run.clamp_events[0]
         assert ev.pre_value < 0.0 or ev.pre_value > 1.0
 
-    def test_heavy_noise_error_policy_raises(self, eq0):
+    def test_pre_clamp_extremes_are_the_clamp_log_extremes(self, eq0):
         params = HHParams.classic(current_I=10.0, sigma=40.0)
-        cfg = SolverConfig(T=1.0, dt=0.01, hurst_H=0.55, seed=1,
-                           clamp_policy=ERROR_ON_EXIT)
-        with pytest.raises(ViabilityBreachError) as err:
-            simulate(eq0, params, cfg)
-        assert err.value.coord in ("m", "h", "n")
-
-    def test_error_policy_reports_first_clamped_step(self, eq0):
-        params = HHParams.classic(current_I=10.0, sigma=5.0)
-        cfg = SolverConfig(T=5.0, dt=0.01, hurst_H=0.55, seed=1)
-        first = simulate(eq0, params, cfg).clamp_events[0]
-        assert first.step > 0
-        with pytest.raises(ViabilityBreachError) as err:
-            simulate(eq0, params, replace(cfg, clamp_policy=ERROR_ON_EXIT))
-        assert (err.value.step, err.value.coord, err.value.pre_value) == tuple(first)
+        run = simulate(eq0, params,
+                       SolverConfig(T=1.0, dt=0.01, hurst_H=0.55, seed=1))
+        raw = [ev.pre_value for ev in run.clamp_events]
+        assert run.gate_pre_clamp_min == min(raw) < 0.0
+        assert run.gate_pre_clamp_max == max(raw) > 1.0
 
     def test_unstable_step_reports_divergence(self, eq0, classic_i10):
         with pytest.raises(DivergenceError) as err:

@@ -103,6 +103,22 @@ class TestCheckViability:
         assert not report.passed
         assert report.max_drift_violation == pytest.approx(1.0)
 
+    def test_nan_drift_fails(self, classic_i10_noisy):
+        report = check_viability(
+            classic_i10_noisy, drift_fn=lambda x: np.full(4, np.nan)
+        )
+        assert not report.passed
+        assert report.max_drift_violation == math.inf
+        assert report.worst_drift_point is not None
+
+    def test_nan_diffusion_fails(self, classic_i10_noisy):
+        report = check_viability(
+            classic_i10_noisy, diffusion_fn=lambda x: np.full((4, 3), np.nan)
+        )
+        assert not report.passed
+        assert report.max_diffusion_violation == math.inf
+        assert report.worst_diffusion_point is not None
+
     def test_report_text_is_json_like(self, classic_i10_noisy):
         text = check_viability(classic_i10_noisy).to_text()
         assert '"points_checked": 4578' in text
