@@ -38,19 +38,6 @@ class DegeneratePathError(ValueError):
     """The path has no usable increments at some requested scale."""
 
 
-@dataclass(frozen=True)
-class SpikeTrain:
-    """Detected spike times (strictly increasing, gaps >= refractory)."""
-
-    spike_times: np.ndarray
-    threshold: float
-    refractory: float
-
-    @property
-    def count(self) -> int:
-        return int(self.spike_times.size)
-
-
 def spike_times_from_trace(
     t: np.ndarray,
     v: np.ndarray,
@@ -76,9 +63,9 @@ def detect_spikes(
     result: SimulationResult,
     threshold: float = DEFAULT_THRESHOLD,
     refractory: float = DEFAULT_REFRACTORY,
-) -> SpikeTrain:
-    times = spike_times_from_trace(result.grid, result.voltage, threshold, refractory)
-    return SpikeTrain(spike_times=times, threshold=threshold, refractory=refractory)
+) -> np.ndarray:
+    """Spike times of a run (strictly increasing, gaps >= refractory)."""
+    return spike_times_from_trace(result.grid, result.voltage, threshold, refractory)
 
 
 def classify_spike_count(count: int) -> str:
@@ -113,17 +100,19 @@ def bifurcation_sweep(
     refractory: float = DEFAULT_REFRACTORY,
 ) -> SweepResult:
     """Deterministic spike counts across applied currents, each run started
-    from the quiescent equilibrium."""
+    from the quiescent equilibrium; the sigmas of `params` are ignored."""
     currents = [float(i) for i in I_values]
     if not currents:
         raise ValueError("I_values must not be empty")
     x0 = equilibrium(0.0)
     rows = []
     for current in sorted(currents):
-        run = solver_mod.simulate_deterministic(
-            x0, replace(params, current_I=current), config
+        run = solver_mod.simulate(
+            x0,
+            replace(params, current_I=current, sigma_1=0.0, sigma_2=0.0, sigma_3=0.0),
+            config,
         )
-        rows.append((current, detect_spikes(run, threshold, refractory).count))
+        rows.append((current, detect_spikes(run, threshold, refractory).size))
     zero = [i for i, c in rows if c == 0]
     single = [i for i, c in rows if c == 1]
     return SweepResult(
@@ -265,7 +254,6 @@ class StageSwitchResult:
     """Windowed regime labels of one long run: each `_WINDOW_MS` window is
     labeled rest/single/multiple by its spike count."""
 
-    result: SimulationResult
     spike_counts: tuple[int, ...]
     labels: tuple[str, ...]
 
@@ -293,17 +281,12 @@ def stage_switch_run(
             f"T={config.T} must be a whole number of {_WINDOW_MS} ms windows"
         )
     run = solver_mod.simulate(equilibrium(0.0), params, config)
-    spikes = detect_spikes(run, threshold, refractory).spike_times
     counts = [0] * n_windows
-    for t in spikes:
+    for t in detect_spikes(run, threshold, refractory):
         idx = min(int(t // _WINDOW_MS), n_windows - 1)
         counts[idx] += 1
     labels = tuple(classify_spike_count(c) for c in counts)
-    return StageSwitchResult(
-        result=run,
-        spike_counts=tuple(counts),
-        labels=labels,
-    )
+    return StageSwitchResult(spike_counts=tuple(counts), labels=labels)
 
 
 # ---------------------------------------------------------------------------

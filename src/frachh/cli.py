@@ -187,7 +187,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     solver.write_clamp_csv(result, out / "clamp_events.csv")
     if args.svg:
         write_voltage_svg(result, out / "voltage.svg")
-    _emit("spike_count", spikes.count)
+    _emit("spike_count", spikes.size)
     _emit("max_abs_V", result.max_abs_V)
     _emit("clamp_events", len(result.clamp_events))
     _emit("apriori_bound", result.apriori_bound)

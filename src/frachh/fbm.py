@@ -119,11 +119,8 @@ class FbmPath:
     components of the gate driver, one per column.
     """
 
-    hurst_H: float
     T: float
     values: np.ndarray
-    seed: int
-    generator_tag: str
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -212,13 +209,7 @@ def sample_cholesky(N: int, T: float, H: float, seed) -> FbmPath:
     then costs O(N^2).
     """
     increments = cholesky_increment_ensemble(N, T, H, seed, 1)[0]
-    return FbmPath(
-        hurst_H=float(H),
-        T=T,
-        values=np.concatenate([[0.0], np.cumsum(increments)]),
-        seed=_seed_as_int(seed),
-        generator_tag=GENERATOR_CHOLESKY,
-    )
+    return FbmPath(T=T, values=np.concatenate([[0.0], np.cumsum(increments)]))
 
 
 def cholesky_increment_ensemble(N: int, T: float, H: float, seed, n_paths: int) -> np.ndarray:
@@ -296,13 +287,7 @@ def sample_wood_chan(N: int, T: float, H: float, seed) -> FbmPath:
     N, T = _check_grid_args(N, T)
     H = _check_hurst(H)
     fgn = _unit_fgn(N, H, seed, 1)[0]
-    return FbmPath(
-        hurst_H=H,
-        T=T,
-        values=np.concatenate([[0.0], np.cumsum(fgn) * (T / N) ** H]),
-        seed=_seed_as_int(seed),
-        generator_tag=GENERATOR_WOOD_CHAN,
-    )
+    return FbmPath(T=T, values=np.concatenate([[0.0], np.cumsum(fgn) * (T / N) ** H]))
 
 
 def wood_chan_increment_ensemble(N: int, T: float, H: float, seed, n_paths: int) -> np.ndarray:
@@ -325,10 +310,6 @@ _SAMPLERS = {
 }
 
 
-def _seed_as_int(seed) -> int:
-    return int(seed) if isinstance(seed, (int, np.integer)) else -1
-
-
 def component_seeds(master_seed: int, n: int = 3) -> list[int]:
     """Disjoint per-component seeds spawned from one master seed."""
     children = np.random.SeedSequence(master_seed).spawn(n)
@@ -348,13 +329,7 @@ def sample_driver(
     if generator not in _SAMPLERS:
         raise ValueError(f"unknown generator {generator!r}, expected one of {GENERATORS}")
     paths = [_SAMPLERS[generator](N, T, H, s) for s in component_seeds(master_seed)]
-    return FbmPath(
-        hurst_H=paths[0].hurst_H,
-        T=paths[0].T,
-        values=np.column_stack([p.values for p in paths]),
-        seed=int(master_seed),
-        generator_tag=generator,
-    )
+    return FbmPath(T=paths[0].T, values=np.column_stack([p.values for p in paths]))
 
 
 def _write_csv(path, header: str, template: str, rows) -> None:
@@ -376,6 +351,9 @@ def _column_rows(*columns):
 
 
 def write_driver_csv(driver: FbmPath, path) -> None:
-    """Dump a driver as CSV rows `t,B1,B2,B3` with 17 significant digits."""
-    _write_csv(path, "t,B1,B2,B3", "%.17g,%.17g,%.17g,%.17g\n",
-               _column_rows(driver.grid, *driver.values.T))
+    """Dump a path as CSV rows `t,B1` for one path, or `t,B1,B2,B3` for the
+    driver, with 17 significant digits."""
+    columns = driver.values.reshape(len(driver.values), -1).T
+    header = ",".join(["t"] + [f"B{j}" for j in range(1, len(columns) + 1)])
+    _write_csv(path, header, ",".join(["%.17g"] * (len(columns) + 1)) + "\n",
+               _column_rows(driver.grid, *columns))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,19 +41,10 @@ def _expm1_ratio(x: float) -> float:
     return x / math.expm1(0.1 * x)
 
 
-class GatingRates(NamedTuple):
-    """Opening (alpha) and closing (beta) rates of the three gates, in 1/ms."""
-
-    alpha_m: float
-    beta_m: float
-    alpha_h: float
-    beta_h: float
-    alpha_n: float
-    beta_n: float
-
-
-def rates(v: float) -> GatingRates:
-    """Voltage-dependent transition rates of the m, h and n gates.
+def rates(v: float) -> tuple[float, float, float, float, float, float]:
+    """Voltage-dependent opening (alpha) and closing (beta) rates of the m, h
+    and n gates, in 1/ms, as the tuple
+    (alpha_m, beta_m, alpha_h, beta_h, alpha_n, beta_n).
 
     alpha_m(v) = 0.1 (25 - v) / (exp((25 - v)/10) - 1)   beta_m(v) = 4 exp(-v/18)
     alpha_h(v) = 0.07 exp(-v/20)                         beta_h(v) = 1 / (exp((30 - v)/10) + 1)
@@ -67,13 +57,13 @@ def rates(v: float) -> GatingRates:
     v = float(v)
     if not math.isfinite(v):
         raise ValueError(f"voltage must be finite, got {v!r}")
-    return GatingRates(
-        alpha_m=0.1 * _expm1_ratio(25.0 - v),
-        beta_m=4.0 * _exp(-v / 18.0),
-        alpha_h=0.07 * _exp(-v / 20.0),
-        beta_h=1.0 / (_exp((30.0 - v) / 10.0) + 1.0),
-        alpha_n=0.01 * _expm1_ratio(10.0 - v),
-        beta_n=0.125 * _exp(-v / 80.0),
+    return (
+        0.1 * _expm1_ratio(25.0 - v),
+        4.0 * _exp(-v / 18.0),
+        0.07 * _exp(-v / 20.0),
+        1.0 / (_exp((30.0 - v) / 10.0) + 1.0),
+        0.01 * _expm1_ratio(10.0 - v),
+        0.125 * _exp(-v / 80.0),
     )
 
 
@@ -183,13 +173,13 @@ def drift(x: State, params: HHParams) -> np.ndarray:
     keeps the gate proportions viable.
     """
     _require_finite(x)
-    r = rates(x.V)
+    am, bm, ah, bh, an, bn = rates(x.V)
     fv = (params.current_I - ionic_current(x, params)) / params.capacitance_C
     return np.array(
         [
-            r.alpha_m * (1.0 - x.m) - r.beta_m * x.m,
-            r.alpha_h * (1.0 - x.h) - r.beta_h * x.h,
-            r.alpha_n * (1.0 - x.n) - r.beta_n * x.n,
+            am * (1.0 - x.m) - bm * x.m,
+            ah * (1.0 - x.h) - bh * x.h,
+            an * (1.0 - x.n) - bn * x.n,
             fv,
         ]
     )
@@ -218,13 +208,8 @@ def equilibrium(v: float) -> State:
     The gate drift vanishes there by construction; the voltage drift does not
     unless the applied current balances the ionic current (see `rest_current`).
     """
-    r = rates(v)
-    return State(
-        m=r.alpha_m / (r.alpha_m + r.beta_m),
-        h=r.alpha_h / (r.alpha_h + r.beta_h),
-        n=r.alpha_n / (r.alpha_n + r.beta_n),
-        V=float(v),
-    )
+    am, bm, ah, bh, an, bn = rates(v)
+    return State(m=am / (am + bm), h=ah / (ah + bh), n=an / (an + bn), V=float(v))
 
 
 def rest_current(params: HHParams, v: float = 0.0) -> float:

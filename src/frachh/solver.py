@@ -24,7 +24,7 @@ reproducible and lets `convergence_probe` refine dt on a common noise path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -96,7 +96,6 @@ class SimulationResult:
     grid: np.ndarray
     trajectory: np.ndarray
     clamp_events: tuple[ClampEvent, ...]
-    driver_seed: int
     max_abs_V: float
     apriori_bound: float
     bound_satisfied: bool
@@ -114,13 +113,6 @@ class SimulationResult:
     @property
     def n_steps(self) -> int:
         return self.grid.size - 1
-
-    def state(self, i: int) -> State:
-        return State.from_array(self.trajectory[i])
-
-    @property
-    def final_state(self) -> State:
-        return self.state(self.grid.size - 1)
 
 
 def _integrate(
@@ -236,19 +228,11 @@ def simulate(x0: State, params: HHParams, config: SolverConfig) -> SimulationRes
         grid=config.grid,
         trajectory=traj,
         clamp_events=tuple(events),
-        driver_seed=config.seed,
         max_abs_V=max_abs_v,
         apriori_bound=bound,
         bound_satisfied=max_abs_v <= bound,
         gate_pre_clamp_min=float(min(gates)),
         gate_pre_clamp_max=float(max(gates)),
-    )
-
-
-def simulate_deterministic(x0: State, params: HHParams, config: SolverConfig) -> SimulationResult:
-    """`simulate` with the noise amplitudes forced to zero."""
-    return simulate(
-        x0, replace(params, sigma_1=0.0, sigma_2=0.0, sigma_3=0.0), config
     )
 
 
@@ -278,8 +262,8 @@ def convergence_probe(
     seed: int,
     dt_list: Sequence[float],
 ) -> ConvergenceTable:
-    """Dyadic step-refinement study on one noise path, with the default gate
-    policy and generator of `SolverConfig`.
+    """Dyadic step-refinement study on one noise path, with the default
+    generator of `SolverConfig`.
 
     The driver is sampled once at the finest dt; coarser runs see block sums of
     the same increments (the piecewise-linear restriction of one path), so the

@@ -30,7 +30,7 @@ def regime_runs():
     """Deterministic runs over I in {0, 0.5, ..., 12} at T=50, dt=0.01."""
     cfg = SolverConfig(T=50.0, dt=0.01, seed=0)
     return {
-        float(current): solver.simulate_deterministic(
+        float(current): solver.simulate(
             EQ0, HHParams.classic(current_I=float(current)), cfg
         )
         for current in np.arange(0.0, 12.01, 0.5)
@@ -66,7 +66,7 @@ def test_criterion_1_equilibrium_values():
 
 def test_criterion_2_bifurcation_regimes(regime_runs):
     counts = {
-        current: analysis.detect_spikes(run).count
+        current: analysis.detect_spikes(run).size
         for current, run in regime_runs.items()
     }
     sweep = analysis.bifurcation_sweep(

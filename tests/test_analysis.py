@@ -6,6 +6,7 @@ import pytest
 
 from frachh import fbm, solver
 from frachh.analysis import (
+    DEFAULT_REFRACTORY,
     MULTIPLE,
     REST,
     SINGLE,
@@ -51,10 +52,9 @@ class TestSpikeDetection:
         assert np.allclose(times, [5.0, 15.0])
 
     def test_times_increasing_with_refractory_gaps(self, eq0, classic_i10):
-        run = solver.simulate_deterministic(eq0, classic_i10, SolverConfig())
-        train = detect_spikes(run)
-        gaps = np.diff(train.spike_times)
-        assert np.all(gaps >= train.refractory)
+        run = solver.simulate(eq0, classic_i10, SolverConfig())
+        gaps = np.diff(detect_spikes(run))
+        assert np.all(gaps >= DEFAULT_REFRACTORY)
 
     def test_trailing_subthreshold_padding_changes_nothing(self):
         t, v = _pulse_trace([5.0, 15.0])
@@ -94,6 +94,14 @@ class TestBifurcationSweep:
         rank = {REST: 0, SINGLE: 1, MULTIPLE: 2}
         classes = [rank[classify_spike_count(c)] for _, c in sweep.table]
         assert classes == sorted(classes)
+
+    def test_noise_amplitudes_ignored(self):
+        # The sweep is deterministic: it zeroes the sigmas it is given.
+        currents = np.arange(0.0, 12.01, 1.0)
+        quiet = bifurcation_sweep(currents, HHParams.classic(), SolverConfig(seed=0))
+        noisy = bifurcation_sweep(currents, HHParams.classic(sigma=0.25), SolverConfig(seed=0))
+        assert noisy.table == quiet.table
+        assert (noisy.I1_hat, noisy.I2_hat) == (quiet.I1_hat, quiet.I2_hat)
 
     def test_reproducible(self):
         a = bifurcation_sweep([3.0, 8.0], HHParams.classic(), SolverConfig(seed=0))

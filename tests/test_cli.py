@@ -97,7 +97,7 @@ class TestSimulateCommand:
         trajectory[0, 3], trajectory[-1, 3] = -100.0, 100.0
         result = SimulationResult(
             grid=np.arange(n_samples) * 0.01, trajectory=trajectory, clamp_events=(),
-            driver_seed=0, max_abs_V=100.0, apriori_bound=np.inf, bound_satisfied=True,
+            max_abs_V=100.0, apriori_bound=np.inf, bound_satisfied=True,
             gate_pre_clamp_min=0.0, gate_pre_clamp_max=0.0,
         )
         path = tmp_path / "voltage.svg"

@@ -29,23 +29,30 @@ H0 = 0.59612075350846024184
 N0 = 0.31767691406069738999
 BV_EQ0_I10 = 10.000323709182496443
 
+# The order of the tuple `rates` returns.
+RATE_NAMES = ("alpha_m", "beta_m", "alpha_h", "beta_h", "alpha_n", "beta_n")
+
+
+def rate(v, name):
+    return rates(v)[RATE_NAMES.index(name)]
+
 
 class TestRates:
     def test_closed_forms_at_zero(self):
-        r = rates(0.0)
-        assert r.beta_n == pytest.approx(0.125, rel=1e-15)
-        assert r.beta_m == pytest.approx(4.0, rel=1e-15)
-        assert r.alpha_h == pytest.approx(0.07, rel=1e-15)
+        am, bm, ah, bh, an, bn = rates(0.0)
+        assert bn == pytest.approx(0.125, rel=1e-15)
+        assert bm == pytest.approx(4.0, rel=1e-15)
+        assert ah == pytest.approx(0.07, rel=1e-15)
 
     def test_high_precision_oracle_at_zero(self):
-        r = rates(0.0)
-        assert r.alpha_n == pytest.approx(ALPHA_N_0, rel=1e-14)
-        assert r.alpha_m == pytest.approx(ALPHA_M_0, rel=1e-14)
-        assert r.beta_h == pytest.approx(BETA_H_0, rel=1e-14)
+        am, bm, ah, bh, an, bn = rates(0.0)
+        assert an == pytest.approx(ALPHA_N_0, rel=1e-14)
+        assert am == pytest.approx(ALPHA_M_0, rel=1e-14)
+        assert bh == pytest.approx(BETA_H_0, rel=1e-14)
 
     def test_removable_singularity_limits(self):
-        assert rates(10.0).alpha_n == pytest.approx(0.1, rel=1e-13)
-        assert rates(25.0).alpha_m == pytest.approx(1.0, rel=1e-13)
+        assert rate(10.0, "alpha_n") == pytest.approx(0.1, rel=1e-13)
+        assert rate(25.0, "alpha_m") == pytest.approx(1.0, rel=1e-13)
 
     @pytest.mark.parametrize(
         "center,getter,prefactor", [(10.0, "alpha_n", 0.01), (25.0, "alpha_m", 0.1)]
@@ -57,20 +64,20 @@ class TestRates:
         for x in (1e-5, 5e-5, 9.9e-5):
             for signed in (x, -x):
                 closed = prefactor * signed / math.expm1(signed / 10.0)
-                branch = getattr(rates(center - signed), getter)
+                branch = rate(center - signed, getter)
                 assert branch == pytest.approx(closed, abs=1e-9)
-        at = getattr(rates(center), getter)
+        at = rate(center, getter)
         slope = 0.5 * prefactor
         for eps in (1e-3, 1e-4, 1e-5, 1e-7, 1e-9):
-            below = getattr(rates(center - eps), getter)
-            above = getattr(rates(center + eps), getter)
+            below = rate(center - eps, getter)
+            above = rate(center + eps, getter)
             assert abs(below - at) <= slope * eps + 1e-9
             assert abs(above - at) <= slope * eps + 1e-9
         for eps in (1e-4, 1e-5, 1e-7, 1e-9):
             # symmetric difference cancels the slope; what is left must be
             # below the 1e-9 branch-agreement budget
-            below = getattr(rates(center - eps), getter)
-            above = getattr(rates(center + eps), getter)
+            below = rate(center - eps, getter)
+            above = rate(center + eps, getter)
             assert abs(above + below - 2.0 * at) <= 1e-9
 
     def test_nonnegative_and_finite_over_wide_range(self):
@@ -94,14 +101,14 @@ class TestDrift:
     def test_gate_components_point_inward_on_faces(self):
         params = HHParams.classic(current_I=3.0)
         for v in (-40.0, 0.0, 55.0, 120.0):
-            r = rates(v)
+            am, bm, ah, bh, an, bn = rates(v)
             low = drift(State(0.0, 0.0, 0.0, v), params)
-            assert low[0] == pytest.approx(r.alpha_m, rel=1e-15)
-            assert low[1] == pytest.approx(r.alpha_h, rel=1e-15)
-            assert low[2] == pytest.approx(r.alpha_n, rel=1e-15)
+            assert low[0] == pytest.approx(am, rel=1e-15)
+            assert low[1] == pytest.approx(ah, rel=1e-15)
+            assert low[2] == pytest.approx(an, rel=1e-15)
             assert min(low[:3]) >= 0.0
             high = drift(State(1.0, 1.0, 1.0, v), params)
-            assert high[0] == pytest.approx(-r.beta_m, rel=1e-15)
+            assert high[0] == pytest.approx(-bm, rel=1e-15)
             assert max(high[:3]) <= 0.0
 
     def test_voltage_component_oracle(self, eq0, classic_i10):

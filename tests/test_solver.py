@@ -18,7 +18,6 @@ from frachh.solver import (
     SolverConfig,
     convergence_probe,
     simulate,
-    simulate_deterministic,
     write_clamp_csv,
     write_trajectory_csv,
 )
@@ -124,10 +123,10 @@ class TestSimulate:
         cfg = SolverConfig(T=50.0, dt=0.01, seed=0)
         counts = {}
         for current in (2.0, 4.5, 10.0):
-            run = simulate_deterministic(
+            run = simulate(
                 eq0, HHParams.classic(current_I=current), cfg
             )
-            counts[current] = analysis.detect_spikes(run).count
+            counts[current] = analysis.detect_spikes(run).size
             assert len(run.clamp_events) == 0
             assert run.bound_satisfied
         assert counts[2.0] == 0
@@ -141,15 +140,9 @@ class TestSimulate:
         assert np.array_equal(a.trajectory, b.trajectory)
         assert a.clamp_events == b.clamp_events
 
-    def test_zero_sigma_equals_deterministic_path(self, eq0, classic_i10):
-        cfg = SolverConfig(T=10.0, dt=0.01, hurst_H=0.75, seed=1)
-        a = simulate(eq0, classic_i10, cfg)
-        b = simulate_deterministic(eq0, HHParams.classic(current_I=10.0, sigma=0.25), cfg)
-        assert np.array_equal(a.trajectory, b.trajectory)
-
     def test_equilibrium_stays_put_with_matching_current(self, eq0):
         params = HHParams.classic(current_I=rest_current(HHParams.classic()))
-        run = simulate_deterministic(eq0, params, SolverConfig(T=50.0, dt=0.01))
+        run = simulate(eq0, params, SolverConfig(T=50.0, dt=0.01))
         assert np.abs(run.trajectory - eq0.as_array()).max() < 1e-6
 
     def test_gates_stay_in_unit_box_with_noise(self, eq0, classic_i10_noisy):
@@ -191,10 +184,9 @@ class TestSimulate:
             simulate(State(-0.1, 0.5, 0.5, 0.0), classic_i10, SolverConfig(T=1.0, dt=0.01))
 
     def test_result_accessors(self, eq0, classic_i10):
-        run = simulate_deterministic(eq0, classic_i10, SolverConfig(T=1.0, dt=0.01))
+        run = simulate(eq0, classic_i10, SolverConfig(T=1.0, dt=0.01))
         assert run.n_steps == 100
-        assert run.state(0) == eq0
-        assert run.final_state.V == run.voltage[-1]
+        assert np.array_equal(run.trajectory[0], eq0.as_array())
         assert run.max_abs_V == np.abs(run.voltage).max()
 
 
@@ -251,7 +243,7 @@ class TestConvergenceProbe:
 
 class TestCsv:
     def test_trajectory_csv_round_trips_exactly(self, tmp_path, eq0, classic_i10):
-        run = simulate_deterministic(eq0, classic_i10, SolverConfig(T=1.0, dt=0.01))
+        run = simulate(eq0, classic_i10, SolverConfig(T=1.0, dt=0.01))
         out = tmp_path / "trajectory.csv"
         write_trajectory_csv(run, out)
         lines = out.read_text().splitlines()
