@@ -193,13 +193,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _emit("apriori_bound", result.apriori_bound)
     _emit("bound_satisfied", result.bound_satisfied)
     if not params.is_deterministic:
-        _emit("holder_exponent", analysis.gate_regularity(result).exponent)
+        too_short = len(result.trajectory) < analysis._MIN_SAMPLES
+        _emit("holder_exponent",
+              "none" if too_short else analysis.gate_regularity(result).exponent)
     _emit("trajectory_csv", out / "trajectory.csv")
     return 0 if result.bound_satisfied else 1
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = build_run_config(args)
+    for flag, value in (("--I-min", args.I_min), ("--I-max", args.I_max),
+                        ("--I-step", args.I_step)):
+        if not np.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value}")
     if args.I_step <= 0.0:
         raise UsageError(f"--I-step must be positive, got {args.I_step}")
     currents = np.arange(args.I_min, args.I_max + 0.5 * args.I_step, args.I_step)

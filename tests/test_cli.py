@@ -1,11 +1,16 @@
 """End-to-end CLI behavior: config round-trip, subcommands, exit codes, outputs."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frachh
 from frachh.cli import (
     RunConfig,
     build_parser,
@@ -155,6 +160,16 @@ class TestSimulateCommand:
         assert "amplitude" in captured.err
         assert not out.exists()
 
+    def test_short_noisy_run_reports_no_holder_exponent(self, tmp_path, capsys):
+        # T = 1 at dt = 0.01 gives 101 samples, fewer than the estimator needs.
+        out = tmp_path / "short"
+        code, summary, _ = run_cli(
+            ["simulate", "--sigma", "0.25", "--T", "1", "--out", str(out)], capsys
+        )
+        assert code == 0
+        assert summary["holder_exponent"] == "none"
+        assert summary["trajectory_csv"] == str(out / "trajectory.csv")
+
     def test_low_hurst_stochastic_run_fails_cleanly(self, tmp_path, capsys):
         code, _, captured = run_cli(
             ["simulate", "--sigma", "0.25", "--hurst", "0.3",
@@ -190,6 +205,15 @@ class TestSweepCommand:
             ["sweep", "--I-step", "0", "--out", str(tmp_path / "x")], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--I-min", "--I-max", "--I-step"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_range_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        code, _, captured = run_cli(["sweep", f"{flag}={value}", "--out", str(out)], capsys)
+        assert code == 2
+        assert f"{flag} must be finite" in captured.err
+        assert not out.exists()
 
 
 class TestFbmCommand:
@@ -277,3 +301,43 @@ class TestSeriesCommand:
         )
         assert code == 2
         assert "non-increasing" in captured.err
+
+
+# Runs in a fresh interpreter: this one already has scipy loaded by other tests.
+COLD_START_SCRIPT = """
+import sys
+from pathlib import Path
+
+import frachh
+import frachh.cli as cli
+
+out = Path(sys.argv[1])
+runs = [
+    ["simulate", "--sigma", "0.25", "--T", "5", "--seed", "1"],
+    ["sweep", "--I-min", "0", "--I-max", "8", "--I-step", "4", "--T", "20"],
+    ["fbm", "--N", "256", "--seed", "1"],
+    ["viability", "--sigma", "0.25"],
+    ["series", "0.9", "0.7", "--sigma", "0.25", "--T", "5"],
+]
+for argv in runs:
+    assert cli.main(argv + ["--out", str(out / argv[0])]) == 0, argv
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded[:3]
+
+from frachh import fbm
+
+assert callable(fbm.scipy.linalg.cholesky)
+argv = ["simulate", "--sigma", "0.25", "--T", "5", "--generator", "cholesky"]
+assert cli.main(argv + ["--out", str(out / "cholesky")]) == 0
+"""
+
+
+def test_scipy_is_imported_only_for_a_cholesky_factor(tmp_path):
+    src = str(Path(frachh.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "cholesky" / "trajectory.csv").exists()
