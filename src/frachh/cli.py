@@ -27,6 +27,10 @@ class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 2."""
 
 
+# Most currents one `sweep` simulates.
+_SWEEP_MAX_POINTS = 100_000
+
+
 # Config-file keys that differ from the library field they set.
 _KEY_FOR_FIELD = {"hurst_H": "hurst"}
 # The CLI's one default that differs from the library's: a spiking current.
@@ -208,7 +212,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise UsageError(f"{flag} must be finite, got {value}")
     if args.I_step <= 0.0:
         raise UsageError(f"--I-step must be positive, got {args.I_step}")
-    currents = np.arange(args.I_min, args.I_max + 0.5 * args.I_step, args.I_step)
+    stop = args.I_max + 0.5 * args.I_step
+    # np.arange makes ceil((stop - start) / step) currents; count them first.
+    points = (stop - args.I_min) / args.I_step
+    if points > _SWEEP_MAX_POINTS:
+        raise UsageError(
+            f"current range [{args.I_min}, {args.I_max}] step {args.I_step} has "
+            f"{np.ceil(points):.15g} points, more than {_SWEEP_MAX_POINTS}"
+        )
+    currents = np.arange(args.I_min, stop, args.I_step)
     if currents.size == 0:
         raise UsageError(
             f"empty current range [{args.I_min}, {args.I_max}] step {args.I_step}"

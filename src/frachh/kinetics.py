@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _EXP_MAX = 700.0  # beyond this exp() overflows the double range
+_SERIES_GAP = 1e-4  # |x| below this takes the series branch of `_expm1_ratio`
 
 
 def _exp(z: float) -> float:
@@ -30,11 +31,11 @@ def _exp(z: float) -> float:
 def _expm1_ratio(x: float) -> float:
     """x / (exp(x/10) - 1), continued through the removable singularity at 0.
 
-    For |x| < 1e-4 the closed form loses digits to cancellation, so a truncated
-    Bernoulli series 10 - x/2 + x^2/120 is used instead; the first dropped term
-    is x^4/720000, below 1e-21 on that branch.
+    For |x| < _SERIES_GAP = 1e-4 the closed form loses digits to cancellation,
+    so a truncated Bernoulli series 10 - x/2 + x^2/120 is used instead; the
+    first dropped term is x^4/720000, below 1e-21 on that branch.
     """
-    if abs(x) < 1e-4:
+    if abs(x) < _SERIES_GAP:
         return 10.0 - 0.5 * x + x * x / 120.0
     if x > 10.0 * _EXP_MAX:
         return 0.0

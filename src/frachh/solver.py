@@ -19,11 +19,23 @@ widely, but this solver does not.
 Driver increments for step k are B((k+1) dt) - B(k dt) from a single
 pre-sampled path; nothing is re-sampled inside a run, which is what makes runs
 reproducible and lets `convergence_probe` refine dt on a common noise path.
+
+The loop evaluates the gate rates inline. Where V lies on
+[_FAST_V_MIN, _FAST_V_MAX] and neither 25 - V nor 10 - V is within
+`kinetics._SERIES_GAP` of 0, none of `kinetics.rates`' branches fires, and
+the loop writes out its six closed forms with the same expressions in the
+same order, so every bit matches. Anywhere else, at the series points, where
+an exponential would saturate, or on a non-finite V, it calls `rates`,
+looked up as this module's global at call time. The trajectory is appended
+to a flat `array("d")` and handed out as an (n_steps + 1, 4) numpy view of
+it, without a copy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -31,7 +43,16 @@ import numpy as np
 
 from . import fbm, viability
 from .fbm import GENERATOR_WOOD_CHAN, GENERATORS
-from .kinetics import HHParams, State, rates, require_in_domain
+from .kinetics import _EXP_MAX, _SERIES_GAP, HHParams, State, rates, require_in_domain
+
+# The voltages on which none of `kinetics.rates`' branches fires, given that
+# neither 25 - v nor 10 - v lies within _SERIES_GAP of 0. Below the lower end
+# beta_h's exp((30 - v)/10) saturates; alpha_m's and alpha_n's ratios saturate
+# only below 25 - 10 _EXP_MAX and 10 - 10 _EXP_MAX, and the other exponentials
+# lower still. The upper end keeps inf, which `rates` rejects, off the fast path.
+_FAST_V_MIN = 30.0 - 10.0 * _EXP_MAX
+_FAST_V_MAX = sys.float_info.max
+
 
 class DivergenceError(RuntimeError):
     """The state became non-finite during integration."""
@@ -134,6 +155,8 @@ def _integrate(
     g_na, g_k, g_l = params.gbar_Na, params.gbar_K, params.gbar_L
     e_na, e_k, e_l = params.E_Na, params.E_K, params.E_L
     s1, s2, s3 = params.sigmas
+    exp, expm1 = math.exp, math.expm1
+    v_min, v_max, gap = _FAST_V_MIN, _FAST_V_MAX, _SERIES_GAP
 
     if increments is not None:
         inc1 = increments[:, 0].tolist()
@@ -141,12 +164,24 @@ def _integrate(
         inc3 = increments[:, 2].tolist()
 
     m, h, n, v = x0.m, x0.h, x0.n, x0.V
-    traj = np.empty((n_steps + 1, 4))
-    traj[0] = (m, h, n, v)
+    buf = array("d", (m, h, n, v))
+    push = buf.append
     events: list[ClampEvent] = []
 
     for k in range(n_steps):
-        am, bm, ah, bh, an, bn = rates(v)
+        # `kinetics.rates(v)` written out, expression for expression, where
+        # none of its branches fires; anywhere else it is called.
+        xm = 25.0 - v
+        xn = 10.0 - v
+        if v_min <= v <= v_max and abs(xm) >= gap and abs(xn) >= gap:
+            am = 0.1 * (xm / expm1(0.1 * xm))
+            bm = 4.0 * exp(-v / 18.0)
+            ah = 0.07 * exp(-v / 20.0)
+            bh = 1.0 / (exp((30.0 - v) / 10.0) + 1.0)
+            an = 0.01 * (xn / expm1(0.1 * xn))
+            bn = 0.125 * exp(-v / 80.0)
+        else:
+            am, bm, ah, bh, an, bn = rates(v)
         new_m = m + (am - (am + bm) * m) * dt
         new_h = h + (ah - (ah + bh) * h) * dt
         new_n = n + (an - (an + bn) * n) * dt
@@ -180,12 +215,12 @@ def _integrate(
             raise DivergenceError(step=k)
 
         m, h, n, v = new_m, new_h, new_n, new_v
-        traj[k + 1, 0] = m
-        traj[k + 1, 1] = h
-        traj[k + 1, 2] = n
-        traj[k + 1, 3] = v
+        push(m)
+        push(h)
+        push(n)
+        push(v)
 
-    return traj, events
+    return np.frombuffer(buf).reshape(n_steps + 1, 4), events
 
 
 def require_young_hurst(H: float) -> None:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import frachh
+from frachh import cli
 from frachh.cli import (
     RunConfig,
     build_parser,
@@ -214,6 +215,31 @@ class TestSweepCommand:
         assert code == 2
         assert f"{flag} must be finite" in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, count",
+        [
+            (["--I-max", "1e300"], "2e+300"),
+            (["--I-step", "1e-300"], "1.2e+301"),
+            (["--I-min=-1.7e308", "--I-max", "1.7e308"], "inf"),
+        ],
+    )
+    def test_oversized_range_is_usage_error(self, tmp_path, capsys, flags, count):
+        out = tmp_path / "x"
+        code, _, captured = run_cli(["sweep", *flags, "--out", str(out)], capsys)
+        assert code == 2
+        assert f"has {count} points, more than 100000" in captured.err
+        assert not out.exists()
+
+    def test_point_limit_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_SWEEP_MAX_POINTS", 4)
+        args = ["sweep", "--I-min", "1", "--I-step", "2", "--out", str(tmp_path / "x")]
+        code, summary, _ = run_cli([*args, "--I-max", "7"], capsys)
+        assert code == 0
+        assert summary["points"] == "4"
+        code, _, captured = run_cli([*args, "--I-max", "9"], capsys)
+        assert code == 2
+        assert "has 5 points, more than 4" in captured.err
 
 
 class TestFbmCommand:

@@ -8,14 +8,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from frachh import analysis
+from frachh import analysis, kinetics, solver
 from frachh.kinetics import HHParams, State, drift, rest_current
 from frachh.solver import (
+    ClampEvent,
     DivergenceError,
     SolverConfig,
+    _driver_increments,
+    _integrate,
     convergence_probe,
     simulate,
     write_clamp_csv,
@@ -118,6 +121,103 @@ class TestStepEuler:
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
+def _reference_step(x, params, dt):
+    """One noise-free step from `x` on `kinetics.rates`, in the loop's
+    expression order: (new row, or None where the loop must diverge; clamp
+    events)."""
+    am, bm, ah, bh, an, bn = kinetics.rates(x.V)
+    m, h, n, v = x.m, x.h, x.n, x.V
+    new = [
+        m + (am - (am + bm) * m) * dt,
+        h + (ah - (ah + bh) * h) * dt,
+        n + (an - (an + bn) * n) * dt,
+    ]
+    ion = (
+        params.gbar_Na * m * m * m * h * (v - params.E_Na)
+        + params.gbar_K * n * n * n * n * (v - params.E_K)
+        + params.gbar_L * (v - params.E_L)
+    )
+    events = []
+    for i, coord in enumerate("mhn"):
+        if new[i] < 0.0 or new[i] > 1.0:
+            events.append(ClampEvent(step=0, coord=coord, pre_value=new[i]))
+            new[i] = min(1.0, max(0.0, new[i]))
+    new.append(v + (params.current_I - ion) / params.capacitance_C * dt)
+    return (new if all(map(math.isfinite, new)) else None), events
+
+
+def _ulp_neighbours(*voltages):
+    return [w for v in voltages
+            for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+
+
+# The ends of the fast path: the saturation bound of kinetics' exponentials
+# (-6970 for beta_h, -6975 for alpha_m), the series points and the edges of
+# their gaps, and a voltage where beta_m's exponential overflows.
+EDGE_VOLTAGES = [
+    *_ulp_neighbours(-6975.0, -6970.0, 25.0, 10.0, 25.0 - 1e-4, 25.0 + 1e-4,
+                     10.0 - 1e-4, 10.0 + 1e-4),
+    -13000.0,
+]
+
+
+def _with_edge_examples(test):
+    for v in EDGE_VOLTAGES:
+        test = example(gates=(0.05, 0.6, 0.32), v=v, dt=0.01, current=10.0)(test)
+    return test
+
+
+class TestInlineRates:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        gates=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+        v=st.floats(-2e4, 2e4),
+        dt=st.floats(1e-3, 0.03),
+        current=st.floats(0.0, 15.0),
+    )
+    @_with_edge_examples
+    def test_step_is_kinetics_rates_bit_for_bit(self, gates, v, dt, current):
+        x = State(*gates, v)
+        params = HHParams.classic(current_I=current)
+        ref, ref_events = _reference_step(x, params, dt)
+        if ref is None:
+            with pytest.raises(DivergenceError) as err:
+                _integrate(x, params, dt, 1, None)
+            assert err.value.step == 0
+            return
+        traj, events = _integrate(x, params, dt, 1, None)
+        assert [c.hex() for c in traj[1].tolist()] == [c.hex() for c in ref]
+        assert events == ref_events
+
+    @pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])
+    def test_non_finite_voltage_rejected_by_rates(self, v):
+        with pytest.raises(ValueError, match="voltage must be finite"):
+            _integrate(State(0.5, 0.5, 0.5, v), HHParams.classic(), 0.01, 1, None)
+
+    @staticmethod
+    def _count_rates(monkeypatch):
+        calls = []
+
+        def counting(v):
+            calls.append(v)
+            return kinetics.rates(v)
+
+        monkeypatch.setattr(solver, "rates", counting)
+        return calls
+
+    def test_noisy_run_stays_on_fast_path(self, monkeypatch, eq0, classic_i10_noisy):
+        calls = self._count_rates(monkeypatch)
+        run = simulate(eq0, classic_i10_noisy, SolverConfig(T=50.0, dt=0.01, seed=0))
+        assert run.n_steps == 5000
+        assert calls == []
+
+    def test_series_point_takes_slow_path_by_module_name(self, monkeypatch):
+        calls = self._count_rates(monkeypatch)
+        x = kinetics.equilibrium(25.0)
+        _integrate(x, HHParams.classic(current_I=10.0), 0.01, 1, None)
+        assert calls == [25.0]
+
+
 class TestSimulate:
     def test_deterministic_regimes(self, eq0):
         cfg = SolverConfig(T=50.0, dt=0.01, seed=0)
@@ -178,6 +278,24 @@ class TestSimulate:
         with pytest.raises(DivergenceError) as err:
             simulate(eq0, classic_i10, SolverConfig(T=50.0, dt=5.0))
         assert err.value.step >= 0
+
+    # sigma 3, dt 0.025, H 0.55, I 10: Euler leaves the stable range on six
+    # of ten driver seeds (driver seed -> 0-based step of the DivergenceError).
+    EULER_DIVERGES_AT = {0: 458, 1: 1442, 2: 1357, 3: 1937, 5: 103, 7: 1249}
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_coarse_noisy_euler_divergence_row(self, eq0, seed):
+        params = HHParams.classic(current_I=10.0, sigma=3.0)
+        config = SolverConfig(T=50.0, dt=0.025, hurst_H=0.55, seed=seed)
+        increments = _driver_increments(params, config)
+        assert config.n_steps == 2000
+        if seed in self.EULER_DIVERGES_AT:
+            with pytest.raises(DivergenceError) as err:
+                _integrate(eq0, params, config.dt, config.n_steps, increments)
+            assert err.value.step == self.EULER_DIVERGES_AT[seed]
+        else:
+            traj, _ = _integrate(eq0, params, config.dt, config.n_steps, increments)
+            assert np.isfinite(traj).all()
 
     def test_start_outside_box_rejected(self, classic_i10):
         with pytest.raises(ValueError):
