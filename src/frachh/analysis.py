@@ -49,6 +49,10 @@ def spike_times_from_trace(
     v = np.asarray(v, dtype=float)
     if t.size != v.size or t.size == 0:
         raise ValueError("t and v must be nonempty arrays of equal length")
+    if not math.isfinite(threshold):
+        raise ValueError(f"spike threshold must be finite, got {threshold}")
+    if not (math.isfinite(refractory) and refractory >= 0.0):
+        raise ValueError(f"refractory gap must be finite and >= 0, got {refractory}")
     crossing = np.flatnonzero((v[:-1] < threshold) & (v[1:] >= threshold)) + 1
     times = []
     last = -math.inf

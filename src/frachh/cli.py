@@ -184,9 +184,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     params = _library_config(config, HHParams)
     sconf = _library_config(config, SolverConfig)
-    out = _out_dir(config)
     result = solver.simulate(equilibrium(0.0), params, sconf)
     spikes = analysis.detect_spikes(result, config.threshold, config.refractory)
+    out = _out_dir(config)
     solver.write_trajectory_csv(result, out / "trajectory.csv")
     solver.write_clamp_csv(result, out / "clamp_events.csv")
     if args.svg:

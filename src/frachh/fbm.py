@@ -10,10 +10,14 @@ Two generators are provided and cross-validate each other:
   and O(N log N). The embedding search is paid once per (N, H). See Wood &
   Chan (1994) and Dietrich & Newsam (1997).
 
-The factor or eigenvalues of the most recent key are kept in a one-entry memo
-and shared read-only, so the three components of a driver, and repeated calls
-at the same key, reuse them. Only one key is held: a Cholesky factor takes
-8 N^2 bytes, and the old entry is dropped before the next one is built.
+Factors and eigenvalues are memoized per key and shared read-only, so the
+three components of a driver, and repeated calls at the same key, reuse them.
+A Cholesky factor takes 8 N^2 bytes, so it is held alone: the memo is emptied
+before a factor is built, and a held factor is dropped before eigenvalues are
+built. The eigenvalues (16 M bytes for an embedding of size 2M) are kept for
+every (N, H), so a series of recordings that returns to an earlier Hurst
+parameter searches its embedding once; the oldest are dropped once their
+total passes `_SPECTRA_MAX_BYTES`.
 
 Both generators are deterministic functions of (N, T, H, seed). Bit-identical
 output across platforms is not promised for the FFT-backed generator;
@@ -93,24 +97,36 @@ def _check_hurst(H: float) -> float:
     return H
 
 
-# Spectral data (Cholesky factor or circulant eigenvalues) of the most recent
-# key only; see `_memoized`.
+# Total size of the Wood-Chan eigenvalue arrays the memo may hold before it
+# drops the oldest. One array for N = 5000 (2M = 16384) takes 128 KiB.
+_SPECTRA_MAX_BYTES = 4 << 20
+
+# Spectral data (Cholesky factors, circulant eigenvalues) by key, oldest first;
+# see `_memoized`.
 _spectral_memo: dict[tuple, np.ndarray] = {}
 
 
 def _memoized(key: tuple, build) -> np.ndarray:
-    """`build()` for `key`, reused while `key` is the most recent key.
+    """`build()` for `key`, reused by later calls at `key`.
 
-    The previous entry is dropped before `build` runs, so at most one entry is
-    alive at a time, and nothing is stored when `build` raises. The result is
-    made read-only, because every caller at that key shares it.
+    A Cholesky factor is never held beside another entry: the memo is emptied
+    before a factor is built, and before anything is built while a factor is
+    held. Other entries are kept until their total size passes
+    `_SPECTRA_MAX_BYTES`; then the oldest are dropped, never the new one.
+    Nothing is stored when `build` raises. The result is made read-only,
+    because every caller at that key shares it.
     """
     value = _spectral_memo.get(key)
-    if value is None:
+    if value is not None:
+        return value
+    if any(k[0] == GENERATOR_CHOLESKY for k in (key, *_spectral_memo)):
         _spectral_memo.clear()
-        value = build()
-        value.flags.writeable = False
-        _spectral_memo[key] = value
+    value = build()
+    value.flags.writeable = False
+    _spectral_memo[key] = value
+    while (len(_spectral_memo) > 1
+           and sum(v.nbytes for v in _spectral_memo.values()) > _SPECTRA_MAX_BYTES):
+        del _spectral_memo[next(iter(_spectral_memo))]
     return value
 
 
@@ -296,9 +312,12 @@ def _unit_fgn(N: int, H: float, seed, n_paths: int) -> np.ndarray:
     filled = 0
     while filled < n_paths:
         n_complex = min((n_paths - filled + 1) // 2, _ENSEMBLE_BATCH)
-        z = rng.standard_normal((n_complex, two_m)) + 1j * rng.standard_normal((n_complex, two_m))
+        z = np.empty((n_complex, two_m), dtype=complex)
+        z.real = rng.standard_normal((n_complex, two_m))
+        z.imag = rng.standard_normal((n_complex, two_m))
         z *= np.sqrt(lam)
-        y = (np.fft.fft(z, axis=-1) / math.sqrt(two_m))[:, :N]
+        y = np.fft.fft(z, axis=-1)[:, :N]
+        y /= math.sqrt(two_m)
         for part in (y.real, y.imag):
             rows = part[: n_paths - filled]
             out[filled : filled + len(rows)] = rows

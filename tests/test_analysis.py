@@ -1,6 +1,8 @@
 """Spike detection, current sweep, regularity estimation, recording series,
 and windowed stage labeling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,23 @@ class TestSpikeDetection:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             spike_times_from_trace(np.array([]), np.array([]))
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        t, v = _pulse_trace([5.0])
+        with pytest.raises(ValueError, match=f"threshold must be finite, got {threshold}"):
+            spike_times_from_trace(t, v, threshold=threshold)
+
+    @pytest.mark.parametrize("refractory", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_negative_or_non_finite_refractory_rejected(self, refractory):
+        t, v = _pulse_trace([5.0])
+        with pytest.raises(ValueError, match=f"refractory gap .* got {refractory}"):
+            spike_times_from_trace(t, v, refractory=refractory)
+
+    def test_zero_refractory_keeps_every_crossing(self):
+        t, v = _pulse_trace([5.0, 6.0, 15.0])
+        times = spike_times_from_trace(t, v, threshold=50.0, refractory=0.0)
+        assert np.allclose(times, [5.0, 6.0, 15.0])
 
 
 class TestBifurcationSweep:

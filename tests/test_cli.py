@@ -179,6 +179,20 @@ class TestSimulateCommand:
         assert code == 1
         assert "1/2" in captured.err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--threshold", "nan"), ("--threshold", "-inf"), ("--refractory", "nan"),
+         ("--refractory", "inf"), ("--refractory", "-1.0")],
+    )
+    def test_bad_spike_detection_exits_1_without_output(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        code, summary, captured = run_cli(["simulate", f"{flag}={value}", "--out", str(out)],
+                                          capsys)
+        assert code == 1
+        assert f"got {value}" in captured.err
+        assert "spike_count" not in summary
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_small_sweep(self, tmp_path, capsys):
@@ -240,6 +254,19 @@ class TestSweepCommand:
         code, _, captured = run_cli([*args, "--I-max", "9"], capsys)
         assert code == 2
         assert "has 5 points, more than 4" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--threshold", "inf"), ("--refractory", "nan"), ("--refractory", "-2.0")]
+    )
+    def test_bad_spike_detection_exits_1_without_output(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        code, summary, captured = run_cli(
+            ["sweep", "--I-max", "3", f"{flag}={value}", "--out", str(out)], capsys
+        )
+        assert code == 1
+        assert f"got {value}" in captured.err
+        assert "I1_hat" not in summary
+        assert not out.exists()
 
 
 class TestFbmCommand:

@@ -7,10 +7,13 @@ deterministic test outcomes, not flaky statistics.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frachh import fbm
 from frachh.fbm import (
@@ -234,6 +237,93 @@ class TestSpectralMemo:
         d = sample_driver(4, 1.0, 0.75, 0)
         assert d.values.shape == (5, 3)
         assert len(cold_memo) == 1
+
+    def test_wood_chan_keeps_a_spectrum_per_key(self, cold_memo, monkeypatch):
+        calls = _count_calls(monkeypatch, fbm, "_circulant_eigenvalues")
+        for hurst in (0.7, 0.8, 0.7):
+            sample_driver(1000, 10.0, hurst, 1)
+        assert len(calls) == 2
+        assert list(cold_memo) == [("wood_chan", 1000, 0.7), ("wood_chan", 1000, 0.8)]
+
+    def test_spectra_evicted_oldest_first_past_cap(self, cold_memo, monkeypatch):
+        # N = 8 embeds in 2M = 16 points: 128 bytes per spectrum, two fit.
+        monkeypatch.setattr(fbm, "_SPECTRA_MAX_BYTES", 256)
+        for hurst in (0.6, 0.7, 0.8):
+            fbm._embedding_eigenvalues(8, hurst)
+        assert list(cold_memo) == [("wood_chan", 8, 0.7), ("wood_chan", 8, 0.8)]
+        fbm._embedding_eigenvalues(8, 0.7)
+        fbm._embedding_eigenvalues(8, 0.9)
+        assert list(cold_memo) == [("wood_chan", 8, 0.8), ("wood_chan", 8, 0.9)]
+        # A spectrum larger than the cap is still kept, alone.
+        big = fbm._embedding_eigenvalues(64, 0.7)
+        assert big.nbytes > 256
+        assert list(cold_memo) == [("wood_chan", 64, 0.7)]
+
+    def test_factor_never_held_beside_another_entry(self, cold_memo):
+        fbm._embedding_eigenvalues(16, 0.6)
+        fbm._embedding_eigenvalues(16, 0.7)
+        fbm._increment_factor(16, 1.0, 0.75)
+        assert list(cold_memo) == [("cholesky", 16, 1.0, 0.75)]
+        fbm._embedding_eigenvalues(16, 0.75)
+        assert list(cold_memo) == [("wood_chan", 16, 0.75)]
+
+
+def _reference_unit_fgn(N, H, seed, n_paths):
+    """`_unit_fgn` as first written: the complex sample built as a + 1j*b, the
+    whole FFT row divided by sqrt(2M) and then cut to N."""
+    lam = fbm._embedding_eigenvalues(N, H)
+    two_m = lam.size
+    rng = np.random.default_rng(seed)
+    rows = []
+    while len(rows) < n_paths:
+        n_complex = min((n_paths - len(rows) + 1) // 2, fbm._ENSEMBLE_BATCH)
+        z = rng.standard_normal((n_complex, two_m)) + 1j * rng.standard_normal((n_complex, two_m))
+        z *= np.sqrt(lam)
+        y = (np.fft.fft(z, axis=-1) / math.sqrt(two_m))[:, :N]
+        rows.extend(y.real)
+        rows.extend(y.imag)
+    return np.array(rows[:n_paths])
+
+
+class TestBitIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.lists(
+            st.tuples(
+                st.sampled_from([1, 3, 16, 100]),
+                st.sampled_from([0.3, 0.55, 0.75, 0.95]),
+                st.sampled_from(fbm.GENERATORS),
+                st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        cap=st.sampled_from([0, 2048, fbm._SPECTRA_MAX_BYTES]),
+    )
+    def test_driver_equals_cold_memo_driver_after_any_key_sequence(self, keys, cap):
+        with mock.patch.object(fbm, "_SPECTRA_MAX_BYTES", cap):
+            fbm._spectral_memo.clear()
+            try:
+                for N, H, generator, seed in keys:
+                    warm = sample_driver(N, 10.0, H, seed, generator).values
+                    held = dict(fbm._spectral_memo)
+                    fbm._spectral_memo.clear()
+                    cold = sample_driver(N, 10.0, H, seed, generator).values
+                    fbm._spectral_memo.clear()
+                    fbm._spectral_memo.update(held)
+                    assert warm.tobytes() == cold.tobytes()
+            finally:
+                fbm._spectral_memo.clear()
+
+    @pytest.mark.parametrize(
+        "n_grid,hurst,n_paths",
+        [(1000, 0.75, 1), (1000, 0.55, 2), (257, 0.95, 3), (4, 0.7, 2 * fbm._ENSEMBLE_BATCH + 3)],
+    )
+    def test_unit_fgn_bit_identical_to_reference(self, n_grid, hurst, n_paths):
+        expected = _reference_unit_fgn(n_grid, hurst, 11, n_paths)
+        got = fbm._unit_fgn(n_grid, hurst, 11, n_paths)
+        assert got.shape == (n_paths, n_grid)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestWoodChan:
