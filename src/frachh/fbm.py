@@ -7,8 +7,10 @@ Two generators are provided and cross-validate each other:
   (N, T, H); each path then costs O(N^2).
 * `sample_wood_chan` — circulant embedding of the stationary increment process
   (fractional Gaussian noise) diagonalized by the FFT; exact in distribution
-  and O(N log N). The embedding search is paid once per (N, H). See Wood &
-  Chan (1994) and Dietrich & Newsam (1997).
+  and O(N log N). The embedding is the smallest power of two >= N, which is
+  nonnegative definite for fGn (Perrin et al. 2002; Craigmile 2003); its
+  eigenvalues are built once per (N, H). See Wood & Chan (1994) and Dietrich &
+  Newsam (1997).
 
 Factors and eigenvalues are memoized per key and shared read-only, so the
 three components of a driver, and repeated calls at the same key, reuse them.
@@ -16,7 +18,7 @@ A Cholesky factor takes 8 N^2 bytes, so it is held alone: the memo is emptied
 before a factor is built, and a held factor is dropped before eigenvalues are
 built. The eigenvalues (16 M bytes for an embedding of size 2M) are kept for
 every (N, H), so a series of recordings that returns to an earlier Hurst
-parameter searches its embedding once; the oldest are dropped once their
+parameter builds its eigenvalues once; the oldest are dropped once their
 total passes `_SPECTRA_MAX_BYTES`.
 
 Both generators are deterministic functions of (N, T, H, seed). Bit-identical
@@ -46,10 +48,8 @@ GENERATOR_WOOD_CHAN = "wood_chan"
 GENERATORS = (GENERATOR_CHOLESKY, GENERATOR_WOOD_CHAN)
 
 # Relative tolerance for circulant eigenvalues that are negative only through
-# floating-point rounding; anything more negative triggers re-embedding.
+# floating-point rounding; anything more negative is an error.
 _EIG_CLIP_REL = 1e-9
-# Give up doubling the embedding once it exceeds 2^6 * N.
-_MAX_EMBED_FACTOR = 64
 # Complex samples per FFT batch of `_unit_fgn`.
 _ENSEMBLE_BATCH = 20_000
 # Rows per formatted block of a CSV file.
@@ -62,15 +62,6 @@ class FactorizationError(RuntimeError):
     def __init__(self, message: str, pivot_index: int):
         super().__init__(message)
         self.pivot_index = pivot_index
-
-
-class CirculantEmbeddingError(RuntimeError):
-    """Circulant embedding stayed indefinite up to the maximum padding."""
-
-    def __init__(self, message: str, min_eigenvalue: float, embedding_size: int):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
-        self.embedding_size = embedding_size
 
 
 def __getattr__(name: str):
@@ -275,30 +266,22 @@ def _circulant_eigenvalues(M: int, H: float) -> np.ndarray:
     return np.fft.fft(row).real
 
 
-def _find_embedding(N: int, H: float) -> tuple[int, np.ndarray]:
-    """Smallest power-of-two embedding half-size M >= N whose circulant
-    eigenvalues are nonnegative up to rounding; negatives within
-    -_EIG_CLIP_REL * max are clipped to zero."""
-    M = 1 << max(0, N - 1).bit_length()
-    while True:
-        lam = _circulant_eigenvalues(M, H)
-        lam_min = float(lam.min())
-        if lam_min >= -_EIG_CLIP_REL * float(lam.max()):
-            return M, np.clip(lam, 0.0, None)
-        if M >= _MAX_EMBED_FACTOR * N:
-            raise CirculantEmbeddingError(
-                f"circulant embedding stayed indefinite up to size {2 * M} "
-                f"(most negative eigenvalue {lam_min:.3e})",
-                min_eigenvalue=lam_min,
-                embedding_size=2 * M,
-            )
-        M *= 2
-
-
 def _embedding_eigenvalues(N: int, H: float) -> np.ndarray:
-    """Read-only clipped eigenvalues of the embedding `_find_embedding`
-    picks, memoized per (N, H)."""
-    return _memoized((GENERATOR_WOOD_CHAN, N, H), lambda: _find_embedding(N, H)[1])
+    """Read-only eigenvalues of the minimal embedding, half-size M the smallest
+    power of two >= N, memoized per (N, H). Negatives within
+    -_EIG_CLIP_REL * max are rounding and clipped to zero; any other raises."""
+
+    def build() -> np.ndarray:
+        lam = _circulant_eigenvalues(1 << max(0, N - 1).bit_length(), H)
+        lam_min = float(lam.min())
+        if lam_min < -_EIG_CLIP_REL * float(lam.max()):
+            raise RuntimeError(
+                f"circulant embedding of fGn is indefinite at N={N}, H={H} "
+                f"(most negative eigenvalue {lam_min:.6g})"
+            )
+        return np.clip(lam, 0.0, None)
+
+    return _memoized((GENERATOR_WOOD_CHAN, N, H), build)
 
 
 def _unit_fgn(N: int, H: float, seed, n_paths: int) -> np.ndarray:

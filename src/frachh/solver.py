@@ -87,11 +87,15 @@ class SolverConfig:
             raise ValueError(f"T must be positive and finite, got {self.T!r}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not math.isfinite(self.T / self.dt):
+            raise ValueError(f"T={self.T} / dt={self.dt} is not finite")
         n = round(self.T / self.dt)
         if n < 1 or abs(n * self.dt - self.T) > 1e-6 * self.T:
             raise ValueError(f"dt={self.dt} must divide T={self.T} up to rounding")
         if not (0.0 < self.hurst_H < 1.0):
             raise ValueError(f"hurst_H must lie in ]0,1[, got {self.hurst_H!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         if self.generator not in GENERATORS:
             raise ValueError(f"generator must be one of {GENERATORS}, got {self.generator!r}")
 

@@ -356,6 +356,32 @@ class TestSeriesCommand:
         assert "non-increasing" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, code, named",
+    [
+        (["simulate", "--T", "50", "--dt", "1e-320"], 1, "dt=1e-320"),
+        (["sweep", "--T", "1e308", "--dt", "1e-10", "--I-max", "1"], 1, "dt=1e-10"),
+        (["series", "0.9", "--T", "1e308", "--dt", "1e-10"], 2, "dt=1e-10"),
+        (["simulate", "--sigma", "0.25", "--seed", "-1"], 1, "seed"),
+        (["sweep", "--seed", "-4"], 1, "seed"),
+        (["series", "0.9", "--seed", "-2"], 2, "seed"),
+    ],
+)
+def test_bad_solver_config_prints_one_error_line(tmp_path, argv, code, named):
+    src = str(Path(frachh.__file__).resolve().parents[1])
+    out = tmp_path / "x"
+    proc = subprocess.run(
+        [sys.executable, "-m", "frachh.cli", *argv, "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert named in proc.stderr
+    assert not out.exists()
+
+
 # Runs in a fresh interpreter: this one already has scipy loaded by other tests.
 COLD_START_SCRIPT = """
 import sys

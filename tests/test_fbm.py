@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from frachh import fbm
 from frachh.fbm import (
-    CirculantEmbeddingError,
     FactorizationError,
     FbmPath,
     component_seeds,
@@ -231,12 +230,24 @@ class TestSpectralMemo:
             lambda M, H: np.array([1.0, -0.5]) if H == 0.7 else good(M, H),
         )
         for _ in range(2):
-            with pytest.raises(CirculantEmbeddingError):
+            with pytest.raises(RuntimeError):
                 sample_driver(4, 1.0, 0.7, 0)
             assert not cold_memo
         d = sample_driver(4, 1.0, 0.75, 0)
         assert d.values.shape == (5, 3)
         assert len(cold_memo) == 1
+
+    def test_embedding_check_raises_or_clips(self, cold_memo, monkeypatch):
+        eigenvalues = {0.7: [1.0, -0.5], 0.75: [1.0, -1e-12]}
+        monkeypatch.setattr(
+            fbm, "_circulant_eigenvalues", lambda M, H: np.array(eigenvalues[H])
+        )
+        with pytest.raises(RuntimeError, match=r"N=1, H=0\.7 .*-0\.5\)"):
+            fbm._embedding_eigenvalues(1, 0.7)
+        assert not cold_memo
+        lam = fbm._embedding_eigenvalues(1, 0.75)
+        assert lam.tolist() == [1.0, 0.0]
+        assert cold_memo[("wood_chan", 1, 0.75)] is lam
 
     def test_wood_chan_keeps_a_spectrum_per_key(self, cold_memo, monkeypatch):
         calls = _count_calls(monkeypatch, fbm, "_circulant_eigenvalues")
@@ -381,20 +392,20 @@ class TestWoodChan:
         slope = np.polyfit(np.log(t), np.log(paths[:, idx].var(axis=0)), 1)[0]
         assert abs(slope - 2.0 * hurst) < 0.05
 
-    def test_embedding_sizes_are_padded_powers_of_two(self):
-        for n_grid, hurst in [(1, 0.6), (5, 0.55), (64, 0.95), (1000, 0.75)]:
-            m, lam = fbm._find_embedding(n_grid, hurst)
-            assert m >= n_grid and (m & (m - 1)) == 0
+    def test_embedding_sizes_are_padded_powers_of_two(self, cold_memo):
+        for n_grid, hurst, m in [(1, 0.6, 1), (5, 0.55, 8), (64, 0.95, 64), (1000, 0.75, 1024)]:
+            lam = fbm._embedding_eigenvalues(n_grid, hurst)
+            assert lam.size == 2 * m
             assert lam.min() >= 0.0
 
-    def test_embedding_failure_reports_diagnostics(self, monkeypatch):
-        monkeypatch.setattr(
-            fbm, "_circulant_eigenvalues", lambda M, H: np.array([1.0, -0.5])
-        )
-        with pytest.raises(CirculantEmbeddingError) as err:
-            fbm._find_embedding(4, 0.75)
-        assert err.value.min_eigenvalue == -0.5
-        assert err.value.embedding_size > 0
+    def test_minimal_embedding_nonnegative_for_fgn(self):
+        # Perrin et al. (2002) and Craigmile (2003): the power-of-two
+        # embedding of fGn needs no padding past the smallest M >= N.
+        for n_grid in (1, 2, 3, 5, 16, 100, 1000, 4097, 5000):
+            m = 1 << (n_grid - 1).bit_length()
+            for hurst in np.arange(1, 100) / 100:
+                lam = fbm._circulant_eigenvalues(m, hurst)
+                assert lam.min() >= -fbm._EIG_CLIP_REL * lam.max(), (n_grid, hurst)
 
 
 class TestDriver:

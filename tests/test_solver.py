@@ -48,6 +48,9 @@ class TestConfig:
             dict(hurst_H=0.0),
             dict(hurst_H=1.0),
             dict(T=math.inf),
+            dict(T=50.0, dt=1e-320),  # T / dt overflows
+            dict(T=1e308, dt=1e-10),
+            dict(seed=-1),
             dict(generator="spectral"),
         ],
     )
