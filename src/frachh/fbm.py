@@ -12,6 +12,16 @@ Two generators are provided and cross-validate each other:
   eigenvalues are built once per (N, H). See Wood & Chan (1994) and Dietrich &
   Newsam (1997).
 
+Each Wood-Chan path is the first N points of one real inverse FFT of its own
+Hermitian half-spectrum of M+1 terms: 2M normals and one real FFT of 2M points
+a path, and no path is drawn only to be discarded. The normals go straight
+into the complex buffer (2M + 2 of them; the imaginary parts at k = 0 and k =
+M are zeroed), path after path, so path i of a draw is the same whatever the
+number of paths drawn. The half-spectra of several paths are transformed
+together in one `irfft` call, as many as fit in `_BATCH_BYTES` (1 MiB, at
+least one): a three-component driver at N = 5000 is one call, and a 1000 ms
+run holds one path's spectrum at a time.
+
 Factors and eigenvalues are memoized per key and shared read-only, so the
 three components of a driver, and repeated calls at the same key, reuse them.
 A Cholesky factor takes 8 N^2 bytes, so it is held alone: the memo is emptied
@@ -23,7 +33,8 @@ total passes `_SPECTRA_MAX_BYTES`.
 
 Both generators are deterministic functions of (N, T, H, seed). Bit-identical
 output across platforms is not promised for the FFT-backed generator;
-statistical properties are.
+statistical properties are. The Wood-Chan stream of version 0.2.0 (the
+half-spectrum draw) differs from that of 0.1.0.
 
 Only the Cholesky generator needs scipy, so `scipy.linalg` is imported the
 first time a covariance is built or factored, not when this module loads. The
@@ -50,8 +61,10 @@ GENERATORS = (GENERATOR_CHOLESKY, GENERATOR_WOOD_CHAN)
 # Relative tolerance for circulant eigenvalues that are negative only through
 # floating-point rounding; anything more negative is an error.
 _EIG_CLIP_REL = 1e-9
-# Complex samples per FFT batch of `_unit_fgn`.
-_ENSEMBLE_BATCH = 20_000
+# Bytes of complex half-spectra `_unit_fgn` transforms in one call (at least
+# one path). A path at N = 5000 (M = 8192) takes 128 KiB, one of the 1000 ms
+# run (M = 2^17) 2 MiB.
+_BATCH_BYTES = 1 << 20
 # Rows per formatted block of a CSV file.
 _CSV_BLOCK = 4096
 
@@ -285,26 +298,32 @@ def _embedding_eigenvalues(N: int, H: float) -> np.ndarray:
 
 
 def _unit_fgn(N: int, H: float, seed, n_paths: int) -> np.ndarray:
-    """(n_paths, N) independent unit-grid fGn vectors via batched circulant
-    embedding. Each complex FFT sample yields two paths, its real and its
-    imaginary part, which are independent and each exact fGn."""
+    """(n_paths, N) independent unit-grid fGn vectors by circulant embedding.
+
+    Path i is `irfft(X_i, 2M)[:N]` of its own Hermitian half-spectrum: real
+    X_0 and X_M, complex X_k for 0 < k < M, standard normal parts scaled by
+    sqrt(w_k * lam_k) with w = 2M at k = 0 and k = M and w = M otherwise
+    (Dietrich & Newsam 1997). The normals fill X_0, X_1, ... of each path in
+    turn, so the first j paths of any draw with this seed are the same.
+    """
     lam = _embedding_eigenvalues(N, H)
-    two_m = lam.size
+    m = lam.size // 2
+    weight = np.full(m + 1, float(m))
+    weight[[0, m]] = 2.0 * m
+    # Interleaved (real, imaginary) scales; the imaginary parts of X_0 and
+    # X_M are drawn and zeroed.
+    scale = np.repeat(np.sqrt(weight * lam[: m + 1]), 2)
+    scale[[1, -1]] = 0.0
     rng = np.random.default_rng(seed)
     out = np.empty((n_paths, N))
-    filled = 0
-    while filled < n_paths:
-        n_complex = min((n_paths - filled + 1) // 2, _ENSEMBLE_BATCH)
-        z = np.empty((n_complex, two_m), dtype=complex)
-        z.real = rng.standard_normal((n_complex, two_m))
-        z.imag = rng.standard_normal((n_complex, two_m))
-        z *= np.sqrt(lam)
-        y = np.fft.fft(z, axis=-1)[:, :N]
-        y /= math.sqrt(two_m)
-        for part in (y.real, y.imag):
-            rows = part[: n_paths - filled]
-            out[filled : filled + len(rows)] = rows
-            filled += len(rows)
+    batch = max(1, min(n_paths, _BATCH_BYTES // (16 * (m + 1))))
+    spectra = np.empty((batch, m + 1), dtype=complex)
+    for start in range(0, n_paths, batch):
+        x = spectra[: n_paths - start]
+        parts = x.view(float)
+        rng.standard_normal(out=parts)
+        parts *= scale
+        out[start : start + len(x)] = np.fft.irfft(x, 2 * m)[:, :N]
     return out
 
 
@@ -347,16 +366,26 @@ def sample_driver(
     N: int, T: float, H: float, master_seed: int, generator: str = GENERATOR_WOOD_CHAN
 ) -> FbmPath:
     """Three mutually independent fBm components on a shared grid, as the
-    columns of one (N+1, 3) path.
+    columns of one (N+1, 3) path, reproducible as a whole from `master_seed`.
 
-    Column j is the `generator` path seeded with `component_seeds(master_seed)[j]`,
-    so the triple is reproducible as a whole while the components stay
-    independent.
+    Wood-Chan: the columns are the three paths of one
+    `_unit_fgn(N, H, master_seed, 3)` draw, so column 0 is
+    `sample_wood_chan(N, T, H, master_seed)`. Cholesky: column j is the
+    `sample_cholesky` path seeded with `component_seeds(master_seed)[j]`.
     """
     if generator not in _SAMPLERS:
         raise ValueError(f"unknown generator {generator!r}, expected one of {GENERATORS}")
-    paths = [_SAMPLERS[generator](N, T, H, s) for s in component_seeds(master_seed)]
-    return FbmPath(T=paths[0].T, values=np.column_stack([p.values for p in paths]))
+    if master_seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {master_seed!r}")
+    if generator == GENERATOR_CHOLESKY:
+        paths = [_SAMPLERS[generator](N, T, H, s) for s in component_seeds(master_seed)]
+        return FbmPath(T=paths[0].T, values=np.column_stack([p.values for p in paths]))
+    N, T = _check_grid_args(N, T)
+    H = _check_hurst(H)
+    values = np.zeros((N + 1, 3))
+    np.cumsum(_unit_fgn(N, H, master_seed, 3).T, axis=0, out=values[1:])
+    values[1:] *= (T / N) ** H
+    return FbmPath(T=T, values=values)
 
 
 def _write_csv(path, header: str, template: str, rows) -> None:

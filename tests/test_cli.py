@@ -365,6 +365,7 @@ class TestSeriesCommand:
         (["simulate", "--sigma", "0.25", "--seed", "-1"], 1, "seed"),
         (["sweep", "--seed", "-4"], 1, "seed"),
         (["series", "0.9", "--seed", "-2"], 2, "seed"),
+        (["fbm", "--N", "16", "--seed", "-1"], 2, "seed"),
     ],
 )
 def test_bad_solver_config_prints_one_error_line(tmp_path, argv, code, named):

@@ -12,6 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -280,20 +281,23 @@ class TestSpectralMemo:
 
 
 def _reference_unit_fgn(N, H, seed, n_paths):
-    """`_unit_fgn` as first written: the complex sample built as a + 1j*b, the
-    whole FFT row divided by sqrt(2M) and then cut to N."""
+    """`_unit_fgn` one path at a time: each path draws the real and imaginary
+    parts of X_0, ..., X_M in turn, keeps X_0 and X_M real, scales by
+    sqrt(w_k lam_k) and takes the first N points of `irfft`."""
     lam = fbm._embedding_eigenvalues(N, H)
-    two_m = lam.size
+    m = lam.size // 2
+    scale = np.sqrt(m * lam[: m + 1])
+    scale[[0, m]] = np.sqrt(2 * m * lam[[0, m]])
     rng = np.random.default_rng(seed)
-    rows = []
-    while len(rows) < n_paths:
-        n_complex = min((n_paths - len(rows) + 1) // 2, fbm._ENSEMBLE_BATCH)
-        z = rng.standard_normal((n_complex, two_m)) + 1j * rng.standard_normal((n_complex, two_m))
-        z *= np.sqrt(lam)
-        y = (np.fft.fft(z, axis=-1) / math.sqrt(two_m))[:, :N]
-        rows.extend(y.real)
-        rows.extend(y.imag)
-    return np.array(rows[:n_paths])
+    rows = np.empty((n_paths, N))
+    for i in range(n_paths):
+        z = rng.standard_normal(2 * m + 2)
+        x = np.empty(m + 1, dtype=complex)
+        x.real = z[0::2] * scale
+        x.imag = z[1::2] * scale
+        x.imag[[0, m]] = 0.0
+        rows[i] = np.fft.irfft(x, 2 * m)[:N]
+    return rows
 
 
 class TestBitIdentity:
@@ -328,16 +332,57 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize(
         "n_grid,hurst,n_paths",
-        [(1000, 0.75, 1), (1000, 0.55, 2), (257, 0.95, 3), (4, 0.7, 2 * fbm._ENSEMBLE_BATCH + 3)],
+        # N = 4 embeds in 2M = 8: 80 bytes a half-spectrum, so 40003 paths
+        # take four batches under a 1 MiB cap.
+        [(1000, 0.75, 1), (1000, 0.55, 2), (257, 0.95, 3), (4, 0.7, 40_003)],
     )
     def test_unit_fgn_bit_identical_to_reference(self, n_grid, hurst, n_paths):
+        if n_grid == 4:
+            assert n_paths > 3 * (fbm._BATCH_BYTES // 80)
         expected = _reference_unit_fgn(n_grid, hurst, 11, n_paths)
         got = fbm._unit_fgn(n_grid, hurst, 11, n_paths)
         assert got.shape == (n_paths, n_grid)
         assert got.tobytes() == expected.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_grid=st.integers(1, 300),
+        hurst=st.sampled_from([0.3, 0.55, 0.75, 0.95]),
+        seed=st.integers(0, 2 ** 32),
+        n_paths=st.integers(1, 8),
+        batch_paths=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_unit_fgn_prefix_is_the_shorter_draw(self, n_grid, hurst, seed, n_paths,
+                                                 batch_paths, data):
+        fewer = data.draw(st.integers(0, n_paths))
+        m = 1 << (n_grid - 1).bit_length()
+        # 0 means the default cap; 1..3 paths a batch put boundaries inside.
+        cap = batch_paths * 16 * (m + 1) or fbm._BATCH_BYTES
+        with mock.patch.object(fbm, "_BATCH_BYTES", cap):
+            more = fbm._unit_fgn(n_grid, hurst, seed, n_paths)
+            less = fbm._unit_fgn(n_grid, hurst, seed, fewer)
+        assert less.shape == (fewer, n_grid)
+        assert more[:fewer].tobytes() == less.tobytes()
+
 
 class TestWoodChan:
+    @pytest.mark.parametrize("n_grid", [1, 64, 100])
+    def test_unit_fgn_rows_match_fgn_autocovariance(self, n_grid):
+        # N = 1 embeds in 2M = 2 (only the real terms X_0 and X_M), 64 in
+        # 2M = 128 exactly, 100 in 2M = 256 with M - N padding points.
+        hurst, n_paths = 0.7, 20_000
+        x = fbm._unit_fgn(n_grid, hurst, 17, n_paths)
+        emp = x.T @ x / n_paths
+        lags = np.abs(np.subtract.outer(np.arange(n_grid), np.arange(n_grid)))
+        theo = fgn_autocovariance(lags, hurst)
+        # Var(x_i x_j) = gamma(0)^2 + gamma(i-j)^2; Bonferroni over the
+        # N(N+1)/2 distinct entries at a 0.1% family-wise level.
+        se = np.sqrt((1.0 + theo ** 2) / n_paths)
+        z_max = scipy.stats.norm.isf(0.0005 / (n_grid * (n_grid + 1) / 2))
+        assert np.all(np.abs(emp - theo) <= z_max * se)
+        assert abs(float(x.mean())) <= 5.0 * math.sqrt(theo.sum() / n_grid ** 2 / n_paths)
+
     def test_deterministic_given_seed(self):
         a = sample_wood_chan(100, 50.0, 0.75, 9)
         b = sample_wood_chan(100, 50.0, 0.75, 9)
@@ -430,9 +475,18 @@ class TestDriver:
     def test_columns_are_component_paths(self, generator, n_grid, horizon, hurst, seed):
         d = sample_driver(n_grid, horizon, hurst, seed, generator)
         assert d.values.shape == (n_grid + 1, 3)
-        for j, component_seed in enumerate(component_seeds(seed)):
-            path = fbm._SAMPLERS[generator](n_grid, horizon, hurst, component_seed)
-            assert np.array_equal(d.values[:, j], path.values)
+        if generator == "cholesky":
+            for j, component_seed in enumerate(component_seeds(seed)):
+                path = fbm._SAMPLERS[generator](n_grid, horizon, hurst, component_seed)
+                assert np.array_equal(d.values[:, j], path.values)
+        else:
+            # One three-path draw from the master seed, column j from row j.
+            fgn = fbm._unit_fgn(n_grid, hurst, seed, 3)
+            for j in range(3):
+                path = np.concatenate([[0.0], np.cumsum(fgn[j]) * (horizon / n_grid) ** hurst])
+                assert d.values[:, j].tobytes() == path.tobytes()
+            first = sample_wood_chan(n_grid, horizon, hurst, seed).values
+            assert d.values[:, 0].tobytes() == first.tobytes()
         assert np.array_equal(d.grid, np.arange(n_grid + 1) * (horizon / n_grid))
         assert d.increments.shape == (n_grid, 3)
         per_column = np.column_stack([np.diff(d.values[:, j]) for j in range(3)])
@@ -445,6 +499,18 @@ class TestDriver:
         se = var_t / math.sqrt(ends.shape[0])
         for i, j in [(0, 1), (0, 2), (1, 2)]:
             assert abs(np.mean(ends[:, i] * ends[:, j])) <= 3.0 * se
+
+    def test_wood_chan_columns_uncorrelated(self):
+        # Increments of distinct columns at every pair of grid points, 4000
+        # master seeds; Bonferroni over 3 * N^2 entries at 0.1% family-wise.
+        n_grid, horizon, hurst, n_seeds = 16, 50.0, 0.75, 4000
+        inc = np.array([sample_driver(n_grid, horizon, hurst, s).increments
+                        for s in range(n_seeds)])
+        se = (horizon / n_grid) ** (2 * hurst) / math.sqrt(n_seeds)
+        z_max = scipy.stats.norm.isf(0.0005 / (3 * n_grid ** 2))
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
+            cross = inc[:, :, i].T @ inc[:, :, j] / n_seeds
+            assert np.abs(cross).max() <= z_max * se, (i, j)
 
     def test_component_covariance_matches_closed_form(self):
         ends = np.array(
