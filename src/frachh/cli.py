@@ -59,11 +59,15 @@ RunConfig = dataclasses.make_dataclass(
 
 
 def _library_config(config: RunConfig, cls):
-    """The `HHParams` or `SolverConfig` that `config` describes."""
-    return cls(**{
-        f.name: getattr(config, _KEY_FOR_FIELD.get(f.name, f.name))
-        for f in dataclasses.fields(cls)
-    })
+    """The `HHParams` or `SolverConfig` that `config` describes; a value it
+    rejects is a usage error."""
+    try:
+        return cls(**{
+            f.name: getattr(config, _KEY_FOR_FIELD.get(f.name, f.name))
+            for f in dataclasses.fields(cls)
+        })
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}

@@ -1,40 +1,45 @@
 """Exact-covariance fractional Brownian motion sampling on uniform grids.
 
-Two generators are provided and cross-validate each other:
+Both generators share one contract: `_SAMPLERS[generator](N, T, H, seed,
+n_paths)` returns an (n_paths, N) array of fBm increments on the uniform grid
+of N steps over [0, T], one path a row. Path i is made from the i-th run of
+standard normals of `default_rng(seed)`, so the first j paths of a draw are
+the j paths of a smaller draw with the same seed. `sample_driver` checks the
+arguments and takes the three gate components as the first three paths.
 
-* `sample_cholesky` — triangular factorization of the increment covariance;
-  used as the exact reference. The O(N^3) factorization is paid once per
-  (N, T, H); each path then costs O(N^2).
-* `sample_wood_chan` — circulant embedding of the stationary increment process
+* Cholesky: path i is L z_i, L the lower triangular factor of the increment
+  covariance and z_i the i-th run of N normals. The O(N^3) factorization is
+  paid once per (N, T, H); each path then costs O(N^2). The paths are
+  multiplied one at a time (a stacked matrix-vector product), because BLAS
+  may round a row of a matrix-matrix product differently with the number of
+  rows.
+* Wood-Chan: circulant embedding of the stationary increment process
   (fractional Gaussian noise) diagonalized by the FFT; exact in distribution
   and O(N log N). The embedding is the smallest power of two >= N, which is
-  nonnegative definite for fGn (Perrin et al. 2002; Craigmile 2003); its
-  eigenvalues are built once per (N, H). See Wood & Chan (1994) and Dietrich &
-  Newsam (1997).
+  nonnegative definite for fGn (Perrin et al. 2002; Craigmile 2003). See Wood
+  & Chan (1994) and Dietrich & Newsam (1997). Path i is the first N points of
+  one real inverse FFT of its own Hermitian half-spectrum of M+1 terms: 2M + 2
+  normals (the imaginary parts at k = 0 and k = M are zeroed) and one real FFT
+  of 2M points. The half-spectra of several paths are transformed together in
+  one `irfft` call, as many as fit in `_BATCH_BYTES` (1 MiB, at least one): a
+  driver at N = 5000 is one call, and a 1000 ms run holds one path's spectrum
+  at a time.
 
-Each Wood-Chan path is the first N points of one real inverse FFT of its own
-Hermitian half-spectrum of M+1 terms: 2M normals and one real FFT of 2M points
-a path, and no path is drawn only to be discarded. The normals go straight
-into the complex buffer (2M + 2 of them; the imaginary parts at k = 0 and k =
-M are zeroed), path after path, so path i of a draw is the same whatever the
-number of paths drawn. The half-spectra of several paths are transformed
-together in one `irfft` call, as many as fit in `_BATCH_BYTES` (1 MiB, at
-least one): a three-component driver at N = 5000 is one call, and a 1000 ms
-run holds one path's spectrum at a time.
-
-Factors and eigenvalues are memoized per key and shared read-only, so the
-three components of a driver, and repeated calls at the same key, reuse them.
-A Cholesky factor takes 8 N^2 bytes, so it is held alone: the memo is emptied
-before a factor is built, and a held factor is dropped before eigenvalues are
-built. The eigenvalues (16 M bytes for an embedding of size 2M) are kept for
-every (N, H), so a series of recordings that returns to an earlier Hurst
-parameter builds its eigenvalues once; the oldest are dropped once their
-total passes `_SPECTRA_MAX_BYTES`.
+Factors and spectral scales are memoized per key and shared read-only, so
+repeated calls at the same key reuse them. A Cholesky factor takes 8 N^2
+bytes, so it is held alone: the memo is emptied before a factor is built, and
+a held factor is dropped before a scale is built. The Wood-Chan scale vector
+(16 (M+1) bytes for an embedding of size 2M) is kept for every (N, H), so a
+series of recordings that returns to an earlier Hurst parameter builds it
+once; the oldest are dropped once their total passes `_SPECTRA_MAX_BYTES`.
 
 Both generators are deterministic functions of (N, T, H, seed). Bit-identical
 output across platforms is not promised for the FFT-backed generator;
-statistical properties are. The Wood-Chan stream of version 0.2.0 (the
-half-spectrum draw) differs from that of 0.1.0.
+statistical properties are. Version 0.3.0 changed the Cholesky stream (one
+run of normals a path from the master seed, in place of three spawned
+component seeds); the Wood-Chan normals are those of 0.2.0, and its paths
+differ only by rounding, since the increments are no longer differences of
+cumulative sums.
 
 Only the Cholesky generator needs scipy, so `scipy.linalg` is imported the
 first time a covariance is built or factored, not when this module loads. The
@@ -101,11 +106,11 @@ def _check_hurst(H: float) -> float:
     return H
 
 
-# Total size of the Wood-Chan eigenvalue arrays the memo may hold before it
-# drops the oldest. One array for N = 5000 (2M = 16384) takes 128 KiB.
+# Total size of the Wood-Chan scale vectors the memo may hold before it drops
+# the oldest. One vector for N = 5000 (M = 8192) takes 128 KiB.
 _SPECTRA_MAX_BYTES = 4 << 20
 
-# Spectral data (Cholesky factors, circulant eigenvalues) by key, oldest first;
+# Spectral data (Cholesky factors, Wood-Chan scale vectors) by key, oldest first;
 # see `_memoized`.
 _spectral_memo: dict[tuple, np.ndarray] = {}
 
@@ -157,30 +162,25 @@ def fgn_autocovariance(k, H: float):
 
 @dataclass(frozen=True, eq=False)
 class FbmPath:
-    """Sampled fBm on the uniform grid of N+1 points over [0, T], starting at 0.
-
-    `values` is (N+1,) for one path, or (N+1, 3) for the three independent
-    components of the gate driver, one per column.
-    """
+    """Three independent fBm components on the uniform grid of N+1 points over
+    [0, T], held as their (N, 3) increments, one component per column."""
 
     T: float
-    values: np.ndarray
+    increments: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim not in (1, 2) or values.shape[1:] not in ((), (3,)) or len(values) < 2:
-            raise ValueError("values must have shape (N+1,) or (N+1, 3) with N >= 1")
-        if np.count_nonzero(values[0]):
-            raise ValueError("paths start at value 0")
+        increments = np.asarray(self.increments, dtype=float)
+        if increments.ndim != 2 or increments.shape[1] != 3 or len(increments) < 1:
+            raise ValueError("increments must have shape (N, 3) with N >= 1")
         T = float(self.T)
         if not (T > 0.0) or not math.isfinite(T):
             raise ValueError(f"horizon T must be positive and finite, got {T!r}")
         object.__setattr__(self, "T", T)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "increments", increments)
 
     @property
     def n_steps(self) -> int:
-        return len(self.values) - 1
+        return len(self.increments)
 
     @property
     def dt(self) -> float:
@@ -191,9 +191,11 @@ class FbmPath:
         return np.arange(self.n_steps + 1) * self.dt
 
     @property
-    def increments(self) -> np.ndarray:
-        """Increments along the grid, shape (N,) or (N, 3)."""
-        return np.diff(self.values, axis=0)
+    def values(self) -> np.ndarray:
+        """The (N+1, 3) paths: a zero row, then the cumulative increments."""
+        values = np.zeros((self.n_steps + 1, 3))
+        np.cumsum(self.increments, axis=0, out=values[1:])
+        return values
 
 
 # ---------------------------------------------------------------------------
@@ -245,25 +247,11 @@ def _increment_factor(N: int, T: float, H: float) -> np.ndarray:
     )
 
 
-def sample_cholesky(N: int, T: float, H: float, seed) -> FbmPath:
-    """Exact fBm path on N+1 uniform points of [0, T] via a lower-triangular
-    factorization of the increment covariance. Deterministic given `seed`.
-
-    The O(N^3) factorization is paid once per (N, T, H) and kept until another
-    key is sampled, which holds one 8 N^2-byte factor in memory; each path
-    then costs O(N^2).
-    """
-    increments = cholesky_increment_ensemble(N, T, H, seed, 1)[0]
-    return FbmPath(T=T, values=np.concatenate([[0.0], np.cumsum(increments)]))
-
-
-def cholesky_increment_ensemble(N: int, T: float, H: float, seed, n_paths: int) -> np.ndarray:
-    """(n_paths, N) array of independent increment vectors from one factor."""
-    N, T = _check_grid_args(N, T)
-    H = _check_hurst(H)
-    L = _increment_factor(N, T, H)
-    z = np.random.default_rng(seed).standard_normal((N, int(n_paths)))
-    return (L @ z).T
+def _cholesky_increments(N: int, T: float, H: float, seed, n_paths: int) -> np.ndarray:
+    """(n_paths, N) increment paths, path i the factor times the i-th run of N
+    normals."""
+    z = np.random.default_rng(seed).standard_normal((n_paths, N, 1))
+    return (_increment_factor(N, T, H) @ z)[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +268,37 @@ def _circulant_eigenvalues(M: int, H: float) -> np.ndarray:
 
 
 def _embedding_eigenvalues(N: int, H: float) -> np.ndarray:
-    """Read-only eigenvalues of the minimal embedding, half-size M the smallest
-    power of two >= N, memoized per (N, H). Negatives within
-    -_EIG_CLIP_REL * max are rounding and clipped to zero; any other raises."""
+    """Eigenvalues of the minimal embedding, half-size M the smallest power of
+    two >= N. Negatives within -_EIG_CLIP_REL * max are rounding and clipped
+    to zero; any other raises."""
+    lam = _circulant_eigenvalues(1 << max(0, N - 1).bit_length(), H)
+    lam_min = float(lam.min())
+    if lam_min < -_EIG_CLIP_REL * float(lam.max()):
+        raise RuntimeError(
+            f"circulant embedding of fGn is indefinite at N={N}, H={H} "
+            f"(most negative eigenvalue {lam_min:.6g})"
+        )
+    return np.clip(lam, 0.0, None)
+
+
+def _fgn_scale(N: int, H: float) -> np.ndarray:
+    """Read-only interleaved (real, imaginary) scales sqrt(w_k * lam_k) of the
+    M+1 half-spectrum terms, w = 2M at k = 0 and k = M and w = M otherwise,
+    memoized per (N, H). The imaginary scales of X_0 and X_M are zero."""
 
     def build() -> np.ndarray:
-        lam = _circulant_eigenvalues(1 << max(0, N - 1).bit_length(), H)
-        lam_min = float(lam.min())
-        if lam_min < -_EIG_CLIP_REL * float(lam.max()):
-            raise RuntimeError(
-                f"circulant embedding of fGn is indefinite at N={N}, H={H} "
-                f"(most negative eigenvalue {lam_min:.6g})"
-            )
-        return np.clip(lam, 0.0, None)
+        # Allocated before the eigenvalues and their temporaries, so that the
+        # kept vector does not pin their freed space on the heap: a 1000 ms
+        # run peaked ~3 MB higher with it allocated last.
+        m = 1 << max(0, N - 1).bit_length()
+        scale = np.empty(2 * (m + 1))
+        lam = _embedding_eigenvalues(N, H)
+        weight = np.full(m + 1, float(m))
+        weight[[0, m]] = 2.0 * m
+        scale[0::2] = np.sqrt(weight * lam[: m + 1])
+        scale[1::2] = scale[0::2]
+        scale[[1, -1]] = 0.0
+        return scale
 
     return _memoized((GENERATOR_WOOD_CHAN, N, H), build)
 
@@ -302,18 +308,12 @@ def _unit_fgn(N: int, H: float, seed, n_paths: int) -> np.ndarray:
 
     Path i is `irfft(X_i, 2M)[:N]` of its own Hermitian half-spectrum: real
     X_0 and X_M, complex X_k for 0 < k < M, standard normal parts scaled by
-    sqrt(w_k * lam_k) with w = 2M at k = 0 and k = M and w = M otherwise
-    (Dietrich & Newsam 1997). The normals fill X_0, X_1, ... of each path in
-    turn, so the first j paths of any draw with this seed are the same.
+    `_fgn_scale` (Dietrich & Newsam 1997). The normals fill X_0, X_1, ... of
+    each path in turn, the imaginary parts of X_0 and X_M drawn and zeroed, so
+    the first j paths of any draw with this seed are the same.
     """
-    lam = _embedding_eigenvalues(N, H)
-    m = lam.size // 2
-    weight = np.full(m + 1, float(m))
-    weight[[0, m]] = 2.0 * m
-    # Interleaved (real, imaginary) scales; the imaginary parts of X_0 and
-    # X_M are drawn and zeroed.
-    scale = np.repeat(np.sqrt(weight * lam[: m + 1]), 2)
-    scale[[1, -1]] = 0.0
+    scale = _fgn_scale(N, H)
+    m = scale.size // 2 - 1
     rng = np.random.default_rng(seed)
     out = np.empty((n_paths, N))
     batch = max(1, min(n_paths, _BATCH_BYTES // (16 * (m + 1))))
@@ -327,21 +327,9 @@ def _unit_fgn(N: int, H: float, seed, n_paths: int) -> np.ndarray:
     return out
 
 
-def sample_wood_chan(N: int, T: float, H: float, seed) -> FbmPath:
-    """fBm path via circulant embedding of the increment process, cumulatively
-    summed and scaled to the [0, T] grid. Deterministic given `seed`."""
-    N, T = _check_grid_args(N, T)
-    H = _check_hurst(H)
-    fgn = _unit_fgn(N, H, seed, 1)[0]
-    return FbmPath(T=T, values=np.concatenate([[0.0], np.cumsum(fgn) * (T / N) ** H]))
-
-
-def wood_chan_increment_ensemble(N: int, T: float, H: float, seed, n_paths: int) -> np.ndarray:
-    """(n_paths, N) independent increment vectors via batched circulant
-    embedding."""
-    N, T = _check_grid_args(N, T)
-    H = _check_hurst(H)
-    out = _unit_fgn(N, H, seed, int(n_paths))
+def _wood_chan_increments(N: int, T: float, H: float, seed, n_paths: int) -> np.ndarray:
+    """(n_paths, N) increment paths: unit-grid fGn scaled to the step T/N."""
+    out = _unit_fgn(N, H, seed, n_paths)
     out *= (T / N) ** H
     return out
 
@@ -350,14 +338,15 @@ def wood_chan_increment_ensemble(N: int, T: float, H: float, seed, n_paths: int)
 # Three-component driver
 # ---------------------------------------------------------------------------
 
+# Looked up at call time, so a replaced entry reaches every driver.
 _SAMPLERS = {
-    GENERATOR_CHOLESKY: sample_cholesky,
-    GENERATOR_WOOD_CHAN: sample_wood_chan,
+    GENERATOR_CHOLESKY: _cholesky_increments,
+    GENERATOR_WOOD_CHAN: _wood_chan_increments,
 }
 
 
 def component_seeds(master_seed: int, n: int = 3) -> list[int]:
-    """Disjoint per-component seeds spawned from one master seed."""
+    """Disjoint seeds spawned from one master seed."""
     children = np.random.SeedSequence(master_seed).spawn(n)
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
@@ -365,27 +354,16 @@ def component_seeds(master_seed: int, n: int = 3) -> list[int]:
 def sample_driver(
     N: int, T: float, H: float, master_seed: int, generator: str = GENERATOR_WOOD_CHAN
 ) -> FbmPath:
-    """Three mutually independent fBm components on a shared grid, as the
-    columns of one (N+1, 3) path, reproducible as a whole from `master_seed`.
-
-    Wood-Chan: the columns are the three paths of one
-    `_unit_fgn(N, H, master_seed, 3)` draw, so column 0 is
-    `sample_wood_chan(N, T, H, master_seed)`. Cholesky: column j is the
-    `sample_cholesky` path seeded with `component_seeds(master_seed)[j]`.
-    """
+    """Three mutually independent fBm components on a shared grid, reproducible
+    as a whole from `master_seed`: column j of the increments is path j of
+    `_SAMPLERS[generator](N, T, H, master_seed, 3)`."""
     if generator not in _SAMPLERS:
         raise ValueError(f"unknown generator {generator!r}, expected one of {GENERATORS}")
     if master_seed < 0:
         raise ValueError(f"seed must be nonnegative, got {master_seed!r}")
-    if generator == GENERATOR_CHOLESKY:
-        paths = [_SAMPLERS[generator](N, T, H, s) for s in component_seeds(master_seed)]
-        return FbmPath(T=paths[0].T, values=np.column_stack([p.values for p in paths]))
     N, T = _check_grid_args(N, T)
     H = _check_hurst(H)
-    values = np.zeros((N + 1, 3))
-    np.cumsum(_unit_fgn(N, H, master_seed, 3).T, axis=0, out=values[1:])
-    values[1:] *= (T / N) ** H
-    return FbmPath(T=T, values=values)
+    return FbmPath(T=T, increments=_SAMPLERS[generator](N, T, H, master_seed, 3).T)
 
 
 def _write_csv(path, header: str, template: str, rows) -> None:
@@ -407,9 +385,6 @@ def _column_rows(*columns):
 
 
 def write_driver_csv(driver: FbmPath, path) -> None:
-    """Dump a path as CSV rows `t,B1` for one path, or `t,B1,B2,B3` for the
-    driver, with 17 significant digits."""
-    columns = driver.values.reshape(len(driver.values), -1).T
-    header = ",".join(["t"] + [f"B{j}" for j in range(1, len(columns) + 1)])
-    _write_csv(path, header, ",".join(["%.17g"] * (len(columns) + 1)) + "\n",
-               _column_rows(driver.grid, *columns))
+    """Dump the driver as CSV rows `t,B1,B2,B3` with 17 significant digits."""
+    _write_csv(path, "t,B1,B2,B3", "%.17g,%.17g,%.17g,%.17g\n",
+               _column_rows(driver.grid, *driver.values.T))

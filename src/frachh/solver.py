@@ -16,9 +16,10 @@ pathwise integral is a Young integral and the explicit first-order scheme is
 justified; the static boundary conditions checked in `viability` hold more
 widely, but this solver does not.
 
-Driver increments for step k are B((k+1) dt) - B(k dt) from a single
-pre-sampled path; nothing is re-sampled inside a run, which is what makes runs
-reproducible and lets `convergence_probe` refine dt on a common noise path.
+Step k takes row k of the increments of a single pre-sampled driver, as the
+generator drew them; nothing is re-sampled inside a run, which is what makes
+runs reproducible and lets `convergence_probe` refine dt on a common noise
+path.
 
 The loop evaluates the gate rates inline. Where V lies on
 [_FAST_V_MIN, _FAST_V_MAX] and neither 25 - V nor 10 - V is within

@@ -144,7 +144,7 @@ def test_criterion_4_stochastic_viability(stochastic_runs):
 def test_criterion_5_fbm_generator_correctness():
     # (a) Wood-Chan path covariance vs the closed form, 1e4 paths, 10 probes.
     n_grid, horizon, hurst, n_paths = 256, 50.0, 0.75, 10_000
-    inc = fbm.wood_chan_increment_ensemble(n_grid, horizon, hurst, 303, n_paths)
+    inc = fbm._SAMPLERS["wood_chan"](n_grid, horizon, hurst, 303, n_paths)
     paths = np.cumsum(inc, axis=1)
     grid = np.arange(1, n_grid + 1) * (horizon / n_grid)
     probes = [(15, 15), (15, 63), (31, 127), (63, 255), (255, 255),
@@ -162,8 +162,8 @@ def test_criterion_5_fbm_generator_correctness():
     cov_ok = worst_z <= 3.0
 
     # (b) Cross-validation against the Cholesky oracle at N=256, 1e5 paths each.
-    nw = fbm.wood_chan_increment_ensemble(n_grid, horizon, hurst, 101, 100_000)
-    nc = fbm.cholesky_increment_ensemble(n_grid, horizon, hurst, 202, 100_000)
+    nw = fbm._SAMPLERS["wood_chan"](n_grid, horizon, hurst, 101, 100_000)
+    nc = fbm._SAMPLERS["cholesky"](n_grid, horizon, hurst, 202, 100_000)
     max_abs = float(
         np.abs(nw.T @ nw / nw.shape[0] - nc.T @ nc / nc.shape[0]).max()
     )
@@ -171,8 +171,7 @@ def test_criterion_5_fbm_generator_correctness():
     del nw, nc
 
     # (c) H = 1/2 increments are white: lags 1..5.
-    path = fbm.sample_wood_chan(2 ** 18, float(2 ** 18), 0.5, 3)
-    x = path.increments
+    x = fbm._SAMPLERS["wood_chan"](2 ** 18, float(2 ** 18), 0.5, 3, 1)[0]
     g0 = float(np.mean(x * x))
     bound = 3.0 / math.sqrt(x.size)
     rho = [float(np.mean(x[k:] * x[:-k]) / g0) for k in range(1, 6)]
@@ -190,8 +189,8 @@ def test_criterion_6_regularity_control():
     # (a) estimator recovers H on raw fBm at N = 2^14
     recovery = {}
     for hurst in HURST_SET:
-        path = fbm.sample_wood_chan(2 ** 14, 1.0, hurst, 0)
-        recovery[hurst] = analysis.estimate_holder(path.values, path.grid).exponent
+        path = fbm.sample_driver(2 ** 14, 1.0, hurst, 0)
+        recovery[hurst] = analysis.estimate_holder(path.values[:, 0], path.grid).exponent
     rec_ok = all(abs(recovery[h] - h) <= 0.1 for h in HURST_SET)
 
     # (b) gate-path exponents strictly increase with H (median of 20 seeds)

@@ -144,8 +144,8 @@ class TestBifurcationSweep:
 class TestHolderEstimator:
     def test_recovers_hurst_on_synthetic_paths(self):
         for hurst in (0.55, 0.8, 0.95):
-            path = fbm.sample_wood_chan(2 ** 14, 1.0, hurst, 0)
-            est = estimate_holder(path.values, path.grid)
+            path = fbm.sample_driver(2 ** 14, 1.0, hurst, 0)
+            est = estimate_holder(path.values[:, 0], path.grid)
             assert est.exponent == pytest.approx(hurst, abs=0.1)
             assert est.scales_used == 6
             assert np.isfinite(est.fit_residual)

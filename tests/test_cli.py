@@ -359,13 +359,15 @@ class TestSeriesCommand:
 @pytest.mark.parametrize(
     "argv, code, named",
     [
-        (["simulate", "--T", "50", "--dt", "1e-320"], 1, "dt=1e-320"),
-        (["sweep", "--T", "1e308", "--dt", "1e-10", "--I-max", "1"], 1, "dt=1e-10"),
+        (["simulate", "--T", "50", "--dt", "1e-320"], 2, "dt=1e-320"),
+        (["sweep", "--T", "1e308", "--dt", "1e-10", "--I-max", "1"], 2, "dt=1e-10"),
         (["series", "0.9", "--T", "1e308", "--dt", "1e-10"], 2, "dt=1e-10"),
-        (["simulate", "--sigma", "0.25", "--seed", "-1"], 1, "seed"),
-        (["sweep", "--seed", "-4"], 1, "seed"),
+        (["simulate", "--sigma", "0.25", "--seed", "-1"], 2, "seed"),
+        (["sweep", "--seed", "-4"], 2, "seed"),
         (["series", "0.9", "--seed", "-2"], 2, "seed"),
         (["fbm", "--N", "16", "--seed", "-1"], 2, "seed"),
+        (["simulate", "--hurst", "1.5"], 2, "got 1.5"),
+        (["fbm", "--N", "16", "--hurst", "1.5"], 2, "got 1.5"),
     ],
 )
 def test_bad_solver_config_prints_one_error_line(tmp_path, argv, code, named):

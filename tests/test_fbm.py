@@ -23,10 +23,11 @@ from frachh.fbm import (
     component_seeds,
     fbm_covariance,
     fgn_autocovariance,
-    sample_cholesky,
     sample_driver,
-    sample_wood_chan,
 )
+
+CHOLESKY = fbm._SAMPLERS["cholesky"]
+WOOD_CHAN = fbm._SAMPLERS["wood_chan"]
 
 
 class TestCovariance:
@@ -61,26 +62,20 @@ class TestCovariance:
 
 class TestPathContainer:
     def test_grid_and_origin_invariants(self):
-        path = sample_wood_chan(32, 4.0, 0.6, 0)
-        assert path.values[0] == 0.0
+        path = sample_driver(32, 4.0, 0.6, 0)
+        assert path.values[0].tolist() == [0.0, 0.0, 0.0]
         assert path.grid[0] == 0.0
         assert np.allclose(np.diff(path.grid), path.dt)
         assert path.n_steps == 32
 
-    def test_rejects_nonzero_origin(self):
-        with pytest.raises(ValueError):
-            FbmPath(1.0, np.array([0.5, 1.0]))
-        with pytest.raises(ValueError):
-            FbmPath(1.0, np.array([[0.0, 0.5, 0.0], [1.0, 1.0, 1.0]]))
-
     @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_horizon(self, horizon):
         with pytest.raises(ValueError):
-            FbmPath(horizon, np.zeros(3))
+            FbmPath(horizon, np.zeros((2, 3)))
 
     @pytest.mark.parametrize(
         "values",
-        [np.zeros(1), np.zeros((1, 3)), np.zeros((3, 2)), np.zeros((3, 3, 1)), np.float64(0.0)],
+        [np.zeros(1), np.zeros((0, 3)), np.zeros((3, 2)), np.zeros((3, 3, 1)), np.float64(0.0)],
     )
     def test_rejects_bad_shape(self, values):
         with pytest.raises(ValueError):
@@ -89,25 +84,22 @@ class TestPathContainer:
 
 class TestCholesky:
     def test_single_increment_variance(self):
-        # One-step path variance must match T^(2H); 1e5 independent seeds.
+        # One-step path variance must match T^(2H); 1e5 independent paths.
         hurst, horizon = 0.75, 2.0
-        values = np.fromiter(
-            (sample_cholesky(1, horizon, hurst, s).values[1] for s in range(100_000)),
-            dtype=float,
-        )
+        values = CHOLESKY(1, horizon, hurst, 0, 100_000)[:, 0]
         theo = horizon ** (2.0 * hurst)
         se = theo * math.sqrt(2.0 / values.size)
         assert abs(values.var() - theo) <= 3.0 * se
 
     def test_deterministic_given_seed(self):
-        a = sample_cholesky(64, 10.0, 0.8, 42)
-        b = sample_cholesky(64, 10.0, 0.8, 42)
-        c = sample_cholesky(64, 10.0, 0.8, 43)
-        assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
+        a = sample_driver(64, 10.0, 0.8, 42, "cholesky")
+        b = sample_driver(64, 10.0, 0.8, 42, "cholesky")
+        c = sample_driver(64, 10.0, 0.8, 43, "cholesky")
+        assert np.array_equal(a.increments, b.increments)
+        assert not np.array_equal(a.increments, c.increments)
 
     def test_brownian_increments_uncorrelated(self):
-        inc = fbm.cholesky_increment_ensemble(128, 128.0, 0.5, 7, 4000).ravel()
+        inc = CHOLESKY(128, 128.0, 0.5, 7, 4000).ravel()
         lag1 = np.mean(inc[1:] * inc[:-1]) / np.mean(inc * inc)
         assert abs(lag1) < 3.0 / math.sqrt(inc.size)
 
@@ -119,11 +111,11 @@ class TestCholesky:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            sample_cholesky(0, 1.0, 0.5, 0)
+            sample_driver(0, 1.0, 0.5, 0, "cholesky")
         with pytest.raises(ValueError):
-            sample_cholesky(8, -1.0, 0.5, 0)
+            sample_driver(8, -1.0, 0.5, 0, "cholesky")
         with pytest.raises(ValueError):
-            sample_cholesky(8, 1.0, 1.2, 0)
+            sample_driver(8, 1.0, 1.2, 0, "cholesky")
 
 
 @pytest.fixture
@@ -174,8 +166,8 @@ class TestSpectralMemo:
 
     def test_hurst_type_shares_entry(self, cold_memo):
         a = fbm._increment_factor(16, 1.0, 0.75)
-        sample_cholesky(16, 1, np.float64(0.75), 0)
-        sample_cholesky(np.int64(16), 1.0, 0.75, 0)
+        sample_driver(16, 1, np.float64(0.75), 0, "cholesky")
+        sample_driver(np.int64(16), 1.0, 0.75, 0, "cholesky")
         assert fbm._increment_factor(16, 1.0, 0.75) is a
         assert len(cold_memo) == 1
 
@@ -201,9 +193,9 @@ class TestSpectralMemo:
         factor = fbm._increment_factor(8, 1.0, 0.7)
         with pytest.raises(ValueError):
             factor[0, 0] = 1.0
-        lam = fbm._embedding_eigenvalues(8, 0.7)
+        scale = fbm._fgn_scale(8, 0.7)
         with pytest.raises(ValueError):
-            lam[0] = 1.0
+            scale[0] = 1.0
 
     def test_factorization_error_not_memoized(self, cold_memo, monkeypatch):
         good = fbm._increment_covariance
@@ -244,11 +236,13 @@ class TestSpectralMemo:
             fbm, "_circulant_eigenvalues", lambda M, H: np.array(eigenvalues[H])
         )
         with pytest.raises(RuntimeError, match=r"N=1, H=0\.7 .*-0\.5\)"):
-            fbm._embedding_eigenvalues(1, 0.7)
+            fbm._fgn_scale(1, 0.7)
         assert not cold_memo
-        lam = fbm._embedding_eigenvalues(1, 0.75)
-        assert lam.tolist() == [1.0, 0.0]
-        assert cold_memo[("wood_chan", 1, 0.75)] is lam
+        assert fbm._embedding_eigenvalues(1, 0.75).tolist() == [1.0, 0.0]
+        # Real and imaginary scales of X_0 and X_1 = X_M, w = 2M = 2.
+        scale = fbm._fgn_scale(1, 0.75)
+        assert scale.tolist() == [math.sqrt(2.0), 0.0, 0.0, 0.0]
+        assert cold_memo[("wood_chan", 1, 0.75)] is scale
 
     def test_wood_chan_keeps_a_spectrum_per_key(self, cold_memo, monkeypatch):
         calls = _count_calls(monkeypatch, fbm, "_circulant_eigenvalues")
@@ -258,25 +252,25 @@ class TestSpectralMemo:
         assert list(cold_memo) == [("wood_chan", 1000, 0.7), ("wood_chan", 1000, 0.8)]
 
     def test_spectra_evicted_oldest_first_past_cap(self, cold_memo, monkeypatch):
-        # N = 8 embeds in 2M = 16 points: 128 bytes per spectrum, two fit.
-        monkeypatch.setattr(fbm, "_SPECTRA_MAX_BYTES", 256)
+        # N = 8 embeds in 2M = 16 points: 2(M+1) scales, 144 bytes, two fit.
+        monkeypatch.setattr(fbm, "_SPECTRA_MAX_BYTES", 288)
         for hurst in (0.6, 0.7, 0.8):
-            fbm._embedding_eigenvalues(8, hurst)
+            fbm._fgn_scale(8, hurst)
         assert list(cold_memo) == [("wood_chan", 8, 0.7), ("wood_chan", 8, 0.8)]
-        fbm._embedding_eigenvalues(8, 0.7)
-        fbm._embedding_eigenvalues(8, 0.9)
+        fbm._fgn_scale(8, 0.7)
+        fbm._fgn_scale(8, 0.9)
         assert list(cold_memo) == [("wood_chan", 8, 0.8), ("wood_chan", 8, 0.9)]
-        # A spectrum larger than the cap is still kept, alone.
-        big = fbm._embedding_eigenvalues(64, 0.7)
-        assert big.nbytes > 256
+        # A scale vector larger than the cap is still kept, alone.
+        big = fbm._fgn_scale(64, 0.7)
+        assert big.nbytes > 288
         assert list(cold_memo) == [("wood_chan", 64, 0.7)]
 
     def test_factor_never_held_beside_another_entry(self, cold_memo):
-        fbm._embedding_eigenvalues(16, 0.6)
-        fbm._embedding_eigenvalues(16, 0.7)
+        fbm._fgn_scale(16, 0.6)
+        fbm._fgn_scale(16, 0.7)
         fbm._increment_factor(16, 1.0, 0.75)
         assert list(cold_memo) == [("cholesky", 16, 1.0, 0.75)]
-        fbm._embedding_eigenvalues(16, 0.75)
+        fbm._fgn_scale(16, 0.75)
         assert list(cold_memo) == [("wood_chan", 16, 0.75)]
 
 
@@ -365,6 +359,25 @@ class TestBitIdentity:
         assert less.shape == (fewer, n_grid)
         assert more[:fewer].tobytes() == less.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        generator=st.sampled_from(fbm.GENERATORS),
+        n_grid=st.integers(1, 300),
+        horizon=st.sampled_from([1.0, 50.0]),
+        hurst=st.sampled_from([0.55, 0.75, 0.95]),
+        seed=st.integers(0, 2 ** 32),
+        n_paths=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_sampler_prefix_is_the_shorter_draw(self, generator, n_grid, horizon, hurst,
+                                                seed, n_paths, data):
+        fewer = data.draw(st.integers(0, n_paths))
+        sampler = fbm._SAMPLERS[generator]
+        more = sampler(n_grid, horizon, hurst, seed, n_paths)
+        less = sampler(n_grid, horizon, hurst, seed, fewer)
+        assert less.shape == (fewer, n_grid)
+        assert more[:fewer].tobytes() == less.tobytes()
+
 
 class TestWoodChan:
     @pytest.mark.parametrize("n_grid", [1, 64, 100])
@@ -384,14 +397,14 @@ class TestWoodChan:
         assert abs(float(x.mean())) <= 5.0 * math.sqrt(theo.sum() / n_grid ** 2 / n_paths)
 
     def test_deterministic_given_seed(self):
-        a = sample_wood_chan(100, 50.0, 0.75, 9)
-        b = sample_wood_chan(100, 50.0, 0.75, 9)
-        assert np.array_equal(a.values, b.values)
+        a = WOOD_CHAN(100, 50.0, 0.75, 9, 1)
+        b = WOOD_CHAN(100, 50.0, 0.75, 9, 1)
+        assert np.array_equal(a, b)
 
     def test_covariance_matches_closed_form(self):
         # 2e4 paths at N=64; z-scores against the exact sampling SE.
         n_grid, horizon, hurst, n_paths = 64, 50.0, 0.75, 20_000
-        inc = fbm.wood_chan_increment_ensemble(n_grid, horizon, hurst, 7, n_paths)
+        inc = WOOD_CHAN(n_grid, horizon, hurst, 7, n_paths)
         paths = np.cumsum(inc, axis=1)
         grid = np.arange(1, n_grid + 1) * (horizon / n_grid)
         probes = [(8, 8), (8, 32), (16, 48), (32, 63), (63, 63), (4, 60), (24, 24), (1, 63)]
@@ -406,8 +419,7 @@ class TestWoodChan:
             assert abs(emp - theo) <= 3.0 * math.sqrt(var_ij / n_paths)
 
     def test_brownian_increment_autocorrelation(self):
-        path = sample_wood_chan(2 ** 17, float(2 ** 17), 0.5, 3)
-        inc = path.increments
+        inc = WOOD_CHAN(2 ** 17, float(2 ** 17), 0.5, 3, 1)[0]
         g0 = np.mean(inc * inc)
         bound = 3.0 / math.sqrt(inc.size)
         for lag in range(1, 6):
@@ -418,8 +430,8 @@ class TestWoodChan:
     @pytest.mark.parametrize("n_grid,n_paths", [(2 ** 8, 30_000), (2 ** 10, 8_000)])
     def test_matches_cholesky_increment_covariance(self, hurst, n_grid, n_paths):
         horizon = 50.0
-        iw = fbm.wood_chan_increment_ensemble(n_grid, horizon, hurst, 101, n_paths)
-        ic = fbm.cholesky_increment_ensemble(n_grid, horizon, hurst, 202, n_paths)
+        iw = WOOD_CHAN(n_grid, horizon, hurst, 101, n_paths)
+        ic = CHOLESKY(n_grid, horizon, hurst, 202, n_paths)
         cov_w = iw.T @ iw / n_paths
         cov_c = ic.T @ ic / n_paths
         # Max-abs noise of the difference of two independent estimates over
@@ -430,7 +442,7 @@ class TestWoodChan:
 
     def test_self_similarity_of_marginal_variance(self):
         n_grid, horizon, hurst = 256, 50.0, 0.75
-        inc = fbm.wood_chan_increment_ensemble(n_grid, horizon, hurst, 5, 30_000)
+        inc = WOOD_CHAN(n_grid, horizon, hurst, 5, 30_000)
         paths = np.cumsum(inc, axis=1)
         idx = np.array([16, 32, 64, 128, 256]) - 1
         t = (idx + 1) * (horizon / n_grid)
@@ -473,24 +485,15 @@ class TestDriver:
         [(1, 2.0, 0.75, 0), (2, 1.0, 0.6, 11), (64, 50.0, 0.75, 11), (257, 10.0, 0.95, 3)],
     )
     def test_columns_are_component_paths(self, generator, n_grid, horizon, hurst, seed):
+        # One three-path draw from the master seed, column j from path j.
         d = sample_driver(n_grid, horizon, hurst, seed, generator)
-        assert d.values.shape == (n_grid + 1, 3)
-        if generator == "cholesky":
-            for j, component_seed in enumerate(component_seeds(seed)):
-                path = fbm._SAMPLERS[generator](n_grid, horizon, hurst, component_seed)
-                assert np.array_equal(d.values[:, j], path.values)
-        else:
-            # One three-path draw from the master seed, column j from row j.
-            fgn = fbm._unit_fgn(n_grid, hurst, seed, 3)
-            for j in range(3):
-                path = np.concatenate([[0.0], np.cumsum(fgn[j]) * (horizon / n_grid) ** hurst])
-                assert d.values[:, j].tobytes() == path.tobytes()
-            first = sample_wood_chan(n_grid, horizon, hurst, seed).values
-            assert d.values[:, 0].tobytes() == first.tobytes()
-        assert np.array_equal(d.grid, np.arange(n_grid + 1) * (horizon / n_grid))
+        draw = fbm._SAMPLERS[generator](n_grid, horizon, hurst, seed, 3)
         assert d.increments.shape == (n_grid, 3)
-        per_column = np.column_stack([np.diff(d.values[:, j]) for j in range(3)])
-        assert np.array_equal(d.increments, per_column)
+        assert d.increments.tobytes() == draw.T.tobytes()
+        assert d.values.shape == (n_grid + 1, 3)
+        assert d.values[0].tolist() == [0.0, 0.0, 0.0]
+        assert d.values[1:].tobytes() == np.cumsum(d.increments, axis=0).tobytes()
+        assert np.array_equal(d.grid, np.arange(n_grid + 1) * (horizon / n_grid))
         assert d.T == horizon
 
     def test_components_uncorrelated_at_endpoint(self):
@@ -521,9 +524,10 @@ class TestDriver:
         assert abs(np.mean(ends ** 2) - theo) <= 3.0 * se
 
     def test_cholesky_generator_selectable(self):
-        d = sample_driver(16, 4.0, 0.7, 2, generator="cholesky")
-        first = sample_cholesky(16, 4.0, 0.7, component_seeds(2)[0])
-        assert np.array_equal(d.values[:, 0], first.values)
+        default = sample_driver(16, 4.0, 0.7, 2).increments
+        assert default.tobytes() == WOOD_CHAN(16, 4.0, 0.7, 2, 3).T.tobytes()
+        cholesky = sample_driver(16, 4.0, 0.7, 2, generator="cholesky").increments
+        assert not np.array_equal(cholesky, default)
         with pytest.raises(ValueError):
             sample_driver(16, 4.0, 0.7, 2, generator="spectral")
 
@@ -537,14 +541,3 @@ class TestDriver:
         loaded = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.array_equal(loaded[:, 0], d.grid)
         assert np.array_equal(loaded[:, 1:], d.values)
-
-    def test_csv_round_trip_single_path(self, tmp_path):
-        path = sample_wood_chan(16, 1.0, 0.75, 0)
-        out = tmp_path / "path.csv"
-        fbm.write_driver_csv(path, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "t,B1"
-        assert len(lines) == 18
-        loaded = np.loadtxt(out, delimiter=",", skiprows=1)
-        assert np.array_equal(loaded[:, 0], path.grid)
-        assert np.array_equal(loaded[:, 1], path.values)
