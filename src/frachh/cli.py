@@ -188,6 +188,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     params = _library_config(config, HHParams)
     sconf = _library_config(config, SolverConfig)
+    if not params.is_deterministic:
+        try:
+            solver.require_young_hurst(sconf.hurst_H)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     result = solver.simulate(equilibrium(0.0), params, sconf)
     spikes = analysis.detect_spikes(result, config.threshold, config.refractory)
     out = _out_dir(config)

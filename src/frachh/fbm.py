@@ -7,12 +7,16 @@ standard normals of `default_rng(seed)`, so the first j paths of a draw are
 the j paths of a smaller draw with the same seed. `sample_driver` checks the
 arguments and takes the three gate components as the first three paths.
 
-* Cholesky: path i is L z_i, L the lower triangular factor of the increment
-  covariance and z_i the i-th run of N normals. The O(N^3) factorization is
-  paid once per (N, T, H); each path then costs O(N^2). The paths are
-  multiplied one at a time (a stacked matrix-vector product), because BLAS
-  may round a row of a matrix-matrix product differently with the number of
-  rows.
+* Cholesky: path i is L z_i scaled to the step T/N, L the lower triangular
+  factor of the unit-grid increment covariance C and z_i the i-th run of N
+  normals. The factor is built in LAPACK's rectangular full packed (RFP)
+  form, N(N+1)/2 doubles, straight from the autocovariance with no N x N
+  matrix, and factored in place (Gustavson, Wasniewski, Dongarra & Langou
+  2010). Its O(N^3) cost is paid once per (N, H). Each path then costs
+  O(N^2): L z is computed as C (L^T)^-1 z, one packed triangular solve and a
+  product with C by FFT of its 2N-point circulant embedding. The solves run
+  one path at a time, because BLAS may round a column of a multi-column solve
+  differently with the number of columns.
 * Wood-Chan: circulant embedding of the stationary increment process
   (fractional Gaussian noise) diagonalized by the FFT; exact in distribution
   and O(N log N). The embedding is the smallest power of two >= N, which is
@@ -25,36 +29,36 @@ arguments and takes the three gate components as the first three paths.
   driver at N = 5000 is one call, and a 1000 ms run holds one path's spectrum
   at a time.
 
-Factors and spectral scales are memoized per key and shared read-only, so
-repeated calls at the same key reuse them. A Cholesky factor takes 8 N^2
-bytes, so it is held alone: the memo is emptied before a factor is built, and
-a held factor is dropped before a scale is built. The Wood-Chan scale vector
-(16 (M+1) bytes for an embedding of size 2M) is kept for every (N, H), so a
-series of recordings that returns to an earlier Hurst parameter builds it
-once; the oldest are dropped once their total passes `_SPECTRA_MAX_BYTES`.
+Cholesky factors and Wood-Chan scale vectors (16 (M+1) bytes for an
+embedding of size 2M) are memoized per (generator, N, H) and shared
+read-only, so a run that returns to an earlier key, such as a series of
+recordings over a few Hurst parameters, reuses them. All entries share one
+cap: the oldest are dropped once their total passes `_MEMO_MAX_BYTES` (16
+MiB, four factors at N = 1000), and the newest is always kept, so a factor
+larger than the cap is held alone.
 
 Both generators are deterministic functions of (N, T, H, seed). Bit-identical
-output across platforms is not promised for the FFT-backed generator;
-statistical properties are. Version 0.3.0 changed the Cholesky stream (one
-run of normals a path from the master seed, in place of three spawned
-component seeds); the Wood-Chan normals are those of 0.2.0, and its paths
-differ only by rounding, since the increments are no longer differences of
-cumulative sums.
+output across platforms is not promised, since both use the FFT; statistical
+properties are. Version 0.3.0 changed the Cholesky stream (one run of normals
+a path from the master seed, in place of three spawned component seeds); the
+Wood-Chan normals are those of 0.2.0, and its paths differ only by rounding,
+since the increments are no longer differences of cumulative sums. Version
+0.4.0 changed the Cholesky paths at rounding level (the packed factor of the
+unit grid, applied as C (L^T)^-1 z); the Wood-Chan paths are those of 0.3.0.
 
 Only the Cholesky generator needs scipy, so `scipy.linalg` is imported the
-first time a covariance is built or factored, not when this module loads. The
+first time a factor is built or applied, not when this module loads. The
 import takes about 0.13 s and 28 MB, which a Wood-Chan run, the default, would
 pay in every fresh process without using it. The module attribute `fbm.scipy`
 imports it on first access (PEP 562), and the Cholesky code reaches scipy
 through that name at call time, so replacing `fbm.scipy` or its `linalg`
-functions reaches every factorization.
+LAPACK wrappers reaches every factorization.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,35 +110,32 @@ def _check_hurst(H: float) -> float:
     return H
 
 
-# Total size of the Wood-Chan scale vectors the memo may hold before it drops
-# the oldest. One vector for N = 5000 (M = 8192) takes 128 KiB.
-_SPECTRA_MAX_BYTES = 4 << 20
+# Total size of the memo's arrays before it drops the oldest. A Cholesky
+# factor takes 4 N(N+1) bytes, 4.0 MB at N = 1000, so four fit; a Wood-Chan
+# scale vector 16 (M+1), 8 MiB at N = 2^19.
+_MEMO_MAX_BYTES = 16 << 20
 
-# Spectral data (Cholesky factors, Wood-Chan scale vectors) by key, oldest first;
-# see `_memoized`.
+# Cholesky factors and Wood-Chan scale vectors by key, oldest first; see
+# `_memoized`.
 _spectral_memo: dict[tuple, np.ndarray] = {}
 
 
 def _memoized(key: tuple, build) -> np.ndarray:
     """`build()` for `key`, reused by later calls at `key`.
 
-    A Cholesky factor is never held beside another entry: the memo is emptied
-    before a factor is built, and before anything is built while a factor is
-    held. Other entries are kept until their total size passes
-    `_SPECTRA_MAX_BYTES`; then the oldest are dropped, never the new one.
-    Nothing is stored when `build` raises. The result is made read-only,
-    because every caller at that key shares it.
+    Entries are kept until their total size passes `_MEMO_MAX_BYTES`; then the
+    oldest are dropped, never the new one, so an entry larger than the cap is
+    held alone. Nothing is stored when `build` raises. The result is made
+    read-only, because every caller at that key shares it.
     """
     value = _spectral_memo.get(key)
     if value is not None:
         return value
-    if any(k[0] == GENERATOR_CHOLESKY for k in (key, *_spectral_memo)):
-        _spectral_memo.clear()
     value = build()
     value.flags.writeable = False
     _spectral_memo[key] = value
     while (len(_spectral_memo) > 1
-           and sum(v.nbytes for v in _spectral_memo.values()) > _SPECTRA_MAX_BYTES):
+           and sum(v.nbytes for v in _spectral_memo.values()) > _MEMO_MAX_BYTES):
         del _spectral_memo[next(iter(_spectral_memo))]
     return value
 
@@ -213,45 +214,72 @@ def _check_grid_args(N: int, T: float) -> tuple[int, float]:
     return N, T
 
 
-def _increment_covariance(N: int, T: float, H: float) -> np.ndarray:
-    """Increment covariance delta^2H * gamma(|i-j|) as one fresh N x N array."""
-    delta = T / N
-    return _linalg().toeplitz(delta ** (2.0 * H) * fgn_autocovariance(np.arange(N), H))
+def _toeplitz_rfp(gamma: np.ndarray) -> np.ndarray:
+    """Lower triangle of the symmetric Toeplitz matrix with first column
+    `gamma`, as one fresh array in rectangular full packed form (LAPACK RFP,
+    transr="N", uplo="L"): N(N+1)/2 doubles, with no N x N matrix built.
 
-
-def _cholesky_factor(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the symmetric matrix `cov`, computed in place.
-
-    Overwrites `cov`: its buffer holds the returned factor. `cov.T` is the same
-    matrix in Fortran order, which LAPACK factors without a copy.
+    Viewed as a C-order (k, N+e) array, k = (N+1)//2 and e = 1 if N is even,
+    row j is f[N-e-j : 2N-j] of f = [gamma reversed, gamma].
     """
-    linalg = _linalg()
-    try:
-        return linalg.cholesky(cov.T, lower=True, overwrite_a=True)
-    except linalg.LinAlgError as exc:
-        match = re.search(r"(\d+)-th leading minor", str(exc))
-        pivot = int(match.group(1)) - 1 if match else -1
+    N = gamma.size
+    e = 1 - N % 2
+    k = (N + 1) // 2
+    f = np.concatenate([gamma[::-1], gamma])
+    windows = np.lib.stride_tricks.sliding_window_view(f, N + e)
+    return windows[N - e : N - e - k : -1].ravel()
+
+
+def _toeplitz_cholesky(gamma: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor, in RFP form, of the symmetric Toeplitz matrix
+    with first column `gamma`; factored in place of `_toeplitz_rfp(gamma)`."""
+    factor, info = _linalg().lapack.dpftrf(
+        gamma.size, _toeplitz_rfp(gamma), transr="N", uplo="L", overwrite_a=1
+    )
+    if info > 0:
         raise FactorizationError(
             f"increment covariance is not numerically positive definite "
-            f"(offending pivot index {pivot})",
-            pivot_index=pivot,
-        ) from exc
+            f"(offending pivot index {info - 1})",
+            pivot_index=info - 1,
+        )
+    return factor
 
 
-def _increment_factor(N: int, T: float, H: float) -> np.ndarray:
-    """Read-only lower Cholesky factor of the increment covariance, memoized
-    per (N, T, H)."""
+def _unit_factor(N: int, H: float) -> np.ndarray:
+    """Read-only RFP Cholesky factor of the unit-grid fGn covariance
+    gamma(|i-j|), memoized per (N, H)."""
     return _memoized(
-        (GENERATOR_CHOLESKY, N, T, H),
-        lambda: _cholesky_factor(_increment_covariance(N, T, H)),
+        (GENERATOR_CHOLESKY, N, H),
+        lambda: _toeplitz_cholesky(fgn_autocovariance(np.arange(N), H)),
     )
 
 
 def _cholesky_increments(N: int, T: float, H: float, seed, n_paths: int) -> np.ndarray:
-    """(n_paths, N) increment paths, path i the factor times the i-th run of N
-    normals."""
-    z = np.random.default_rng(seed).standard_normal((n_paths, N, 1))
-    return (_increment_factor(N, T, H) @ z)[:, :, 0]
+    """(n_paths, N) increment paths, path i `L z_i` scaled to the step T/N, L
+    the unit-grid factor and z_i the i-th run of N normals.
+
+    `L z` is computed as `C (L^T)^-1 z`, equal in exact arithmetic, for C = L
+    L^T the Toeplitz covariance: one triangular solve on the packed factor per
+    path (one at a time, for the prefix property), then C's product as a
+    2N-point circulant by real FFT, as many paths a call as fit in
+    `_BATCH_BYTES` (at least one).
+    """
+    tfsm = _linalg().lapack.dtfsm
+    factor = _unit_factor(N, H)
+    gamma = fgn_autocovariance(np.arange(N), H)
+    circulant = np.fft.rfft(np.concatenate([gamma, [0.0], gamma[:0:-1]]))
+    out = np.random.default_rng(seed).standard_normal((n_paths, N))
+    batch = max(1, _BATCH_BYTES // (16 * (N + 1)))
+    for start in range(0, n_paths, batch):
+        block = out[start : start + batch]
+        for row in block:
+            row[:] = tfsm(1.0, factor, row[:, None], transr="N", uplo="L", trans="T",
+                          overwrite_b=1)[:, 0]
+        spectrum = np.fft.rfft(block, 2 * N)
+        spectrum *= circulant
+        block[:] = np.fft.irfft(spectrum, 2 * N)[:, :N]
+    out *= (T / N) ** H
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -172,12 +172,14 @@ class TestSimulateCommand:
         assert summary["trajectory_csv"] == str(out / "trajectory.csv")
 
     def test_low_hurst_stochastic_run_fails_cleanly(self, tmp_path, capsys):
+        # A usage error, as in `series`: exit 2 before any output is written.
         code, _, captured = run_cli(
             ["simulate", "--sigma", "0.25", "--hurst", "0.3",
              "--out", str(tmp_path / "x")], capsys
         )
-        assert code == 1
+        assert code == 2
         assert "1/2" in captured.err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -368,6 +370,9 @@ class TestSeriesCommand:
         (["fbm", "--N", "16", "--seed", "-1"], 2, "seed"),
         (["simulate", "--hurst", "1.5"], 2, "got 1.5"),
         (["fbm", "--N", "16", "--hurst", "1.5"], 2, "got 1.5"),
+        # A noisy run below the Young range is a usage error in both commands.
+        (["simulate", "--sigma", "0.25", "--hurst", "0.3"], 2, "got 0.3"),
+        (["series", "0.3", "--sigma", "0.25"], 2, "got 0.3"),
     ],
 )
 def test_bad_solver_config_prints_one_error_line(tmp_path, argv, code, named):

@@ -104,10 +104,32 @@ class TestCholesky:
         assert abs(lag1) < 3.0 / math.sqrt(inc.size)
 
     def test_factorization_error_carries_pivot(self):
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
-        with pytest.raises(FactorizationError) as err:
-            fbm._cholesky_factor(bad)
-        assert err.value.pivot_index >= 0
+        # First column [1, 2]: [[1, 2], [2, 1]] is indefinite at its second
+        # pivot, 1 - 2^2 < 0.
+        with pytest.raises(FactorizationError, match="pivot index 1") as err:
+            fbm._toeplitz_cholesky(np.array([1.0, 2.0]))
+        assert err.value.pivot_index == 1
+
+    @pytest.mark.parametrize("n_grid", [*range(1, 10), 100, 101])
+    def test_rfp_bit_equal_to_packed_toeplitz(self, n_grid):
+        gamma = fgn_autocovariance(np.arange(n_grid), 0.7)
+        packed, info = scipy.linalg.lapack.dtrttf(scipy.linalg.toeplitz(gamma), uplo="L")
+        assert info == 0
+        rfp = fbm._toeplitz_rfp(gamma)
+        assert rfp.shape == (n_grid * (n_grid + 1) // 2,)
+        assert rfp.tobytes() == packed.tobytes()
+
+    @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
+    @pytest.mark.parametrize("n_grid", [1, 2, 3, 64, 257, 1000])
+    def test_paths_match_full_factor_product(self, n_grid, hurst):
+        # T = N is the unit grid; C (L^T)^-1 z against L z with L the full
+        # lower factor of the Toeplitz covariance.
+        gamma = fgn_autocovariance(np.arange(n_grid), hurst)
+        factor = scipy.linalg.cholesky(scipy.linalg.toeplitz(gamma), lower=True)
+        z = np.random.default_rng(5).standard_normal((3, n_grid))
+        expected = z @ factor.T
+        got = CHOLESKY(n_grid, float(n_grid), hurst, 5, 3)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -143,12 +165,17 @@ class TestSpectralMemo:
         [(1, 2.0, 0.75), (2, 1.0, 0.6), (64, 10.0, 0.55), (257, 50.0, 0.95), (1000, 10.0, 0.75)],
     )
     def test_factor_bit_identical_to_scaled_toeplitz(self, cold_memo, n_grid, horizon, hurst):
-        delta = horizon / n_grid
+        # The covariance at step delta is delta^2H times the unit-grid
+        # Toeplitz matrix: its factor is LAPACK's packed factor of the unit
+        # matrix, and its paths are the unit-grid paths times delta^H.
         gamma = fgn_autocovariance(np.arange(n_grid), hurst)
-        reference = scipy.linalg.cholesky(
-            delta ** (2.0 * hurst) * scipy.linalg.toeplitz(gamma), lower=True
-        )
-        assert np.array_equal(fbm._increment_factor(n_grid, horizon, hurst), reference)
+        packed, _ = scipy.linalg.lapack.dtrttf(scipy.linalg.toeplitz(gamma), uplo="L")
+        reference, info = scipy.linalg.lapack.dpftrf(n_grid, packed, uplo="L")
+        assert info == 0
+        assert fbm._unit_factor(n_grid, hurst).tobytes() == reference.tobytes()
+        unit = CHOLESKY(n_grid, float(n_grid), hurst, 3, 2)
+        unit *= (horizon / n_grid) ** hurst
+        assert CHOLESKY(n_grid, horizon, hurst, 3, 2).tobytes() == unit.tobytes()
 
     @pytest.mark.parametrize("generator", fbm.GENERATORS)
     def test_driver_independent_of_memo_state(self, cold_memo, generator):
@@ -165,21 +192,24 @@ class TestSpectralMemo:
         assert np.array_equal(cold, evicted)
 
     def test_hurst_type_shares_entry(self, cold_memo):
-        a = fbm._increment_factor(16, 1.0, 0.75)
+        a = fbm._unit_factor(16, 0.75)
         sample_driver(16, 1, np.float64(0.75), 0, "cholesky")
         sample_driver(np.int64(16), 1.0, 0.75, 0, "cholesky")
-        assert fbm._increment_factor(16, 1.0, 0.75) is a
-        assert len(cold_memo) == 1
+        sample_driver(16, 50.0, 0.75, 0, "cholesky")
+        assert fbm._unit_factor(16, 0.75) is a
+        assert list(cold_memo) == [("cholesky", 16, 0.75)]
 
     def test_cholesky_driver_factors_once_per_key(self, cold_memo, monkeypatch):
-        calls = _count_calls(monkeypatch, fbm.scipy.linalg, "cholesky")
+        calls = _count_calls(monkeypatch, fbm.scipy.linalg.lapack, "dpftrf")
         sample_driver(200, 2.0, 0.75, 1, generator="cholesky")
         assert len(calls) == 1
-        sample_driver(200, 2.0, 0.75, 2, generator="cholesky")
+        sample_driver(200, 5.0, 0.75, 2, generator="cholesky")
         assert len(calls) == 1
         sample_driver(200, 2.0, 0.6, 1, generator="cholesky")
         assert len(calls) == 2
-        assert list(cold_memo) == [("cholesky", 200, 2.0, 0.6)]
+        sample_driver(200, 2.0, 0.75, 3, generator="cholesky")
+        assert len(calls) == 2
+        assert list(cold_memo) == [("cholesky", 200, 0.75), ("cholesky", 200, 0.6)]
 
     def test_wood_chan_driver_searches_once(self, cold_memo, monkeypatch):
         calls = _count_calls(monkeypatch, fbm, "_circulant_eigenvalues")
@@ -190,22 +220,24 @@ class TestSpectralMemo:
         assert list(cold_memo) == [("wood_chan", 1000, 0.75)]
 
     def test_returned_arrays_are_read_only(self, cold_memo):
-        factor = fbm._increment_factor(8, 1.0, 0.7)
+        factor = fbm._unit_factor(8, 0.7)
         with pytest.raises(ValueError):
-            factor[0, 0] = 1.0
+            factor[0] = 1.0
         scale = fbm._fgn_scale(8, 0.7)
         with pytest.raises(ValueError):
             scale[0] = 1.0
 
     def test_factorization_error_not_memoized(self, cold_memo, monkeypatch):
-        good = fbm._increment_covariance
+        good = fbm.fgn_autocovariance
         builds = []
 
-        def indefinite(N, T, H):
-            builds.append(N)
-            return good(N, T, H) if H != 0.7 else np.array([[1.0, 2.0], [2.0, 1.0]])
+        def indefinite(k, H):
+            if H != 0.7:
+                return good(k, H)
+            builds.append(H)
+            return np.array([1.0, 2.0])
 
-        monkeypatch.setattr(fbm, "_increment_covariance", indefinite)
+        monkeypatch.setattr(fbm, "fgn_autocovariance", indefinite)
         for _ in range(2):
             with pytest.raises(FactorizationError):
                 sample_driver(2, 1.0, 0.7, 0, generator="cholesky")
@@ -253,7 +285,7 @@ class TestSpectralMemo:
 
     def test_spectra_evicted_oldest_first_past_cap(self, cold_memo, monkeypatch):
         # N = 8 embeds in 2M = 16 points: 2(M+1) scales, 144 bytes, two fit.
-        monkeypatch.setattr(fbm, "_SPECTRA_MAX_BYTES", 288)
+        monkeypatch.setattr(fbm, "_MEMO_MAX_BYTES", 288)
         for hurst in (0.6, 0.7, 0.8):
             fbm._fgn_scale(8, hurst)
         assert list(cold_memo) == [("wood_chan", 8, 0.7), ("wood_chan", 8, 0.8)]
@@ -265,13 +297,26 @@ class TestSpectralMemo:
         assert big.nbytes > 288
         assert list(cold_memo) == [("wood_chan", 64, 0.7)]
 
-    def test_factor_never_held_beside_another_entry(self, cold_memo):
-        fbm._fgn_scale(16, 0.6)
-        fbm._fgn_scale(16, 0.7)
-        fbm._increment_factor(16, 1.0, 0.75)
-        assert list(cold_memo) == [("cholesky", 16, 1.0, 0.75)]
-        fbm._fgn_scale(16, 0.75)
-        assert list(cold_memo) == [("wood_chan", 16, 0.75)]
+    def test_factors_and_spectra_share_the_cap(self, cold_memo):
+        # Factors at N = 1000 take 4 N(N+1) = 4,004,000 bytes, scale vectors
+        # 16 (M+1): 2 MiB + 16 at N = 2^17, 8 MiB + 16 at N = 2^19.
+        assert fbm._MEMO_MAX_BYTES == 16 << 20
+        for hurst in (0.6, 0.75, 0.9):
+            fbm._unit_factor(1000, hurst)
+        fbm._fgn_scale(2 ** 17, 0.75)
+        assert [k[2] for k in cold_memo] == [0.6, 0.75, 0.9, 0.75]
+        # A fourth factor passes the cap by ~1.3 MB: the oldest factor goes.
+        fbm._unit_factor(1000, 0.8)
+        assert list(cold_memo) == [("cholesky", 1000, 0.75), ("cholesky", 1000, 0.9),
+                                   ("wood_chan", 2 ** 17, 0.75), ("cholesky", 1000, 0.8)]
+        # A large scale vector drops factors, oldest first, until it fits.
+        fbm._fgn_scale(2 ** 19, 0.75)
+        assert list(cold_memo) == [("wood_chan", 2 ** 17, 0.75), ("cholesky", 1000, 0.8),
+                                   ("wood_chan", 2 ** 19, 0.75)]
+        assert sum(v.nbytes for v in cold_memo.values()) <= fbm._MEMO_MAX_BYTES
+        # A factor larger than the cap is still kept, alone.
+        fbm._unit_factor(2100, 0.75)
+        assert list(cold_memo) == [("cholesky", 2100, 0.75)]
 
 
 def _reference_unit_fgn(N, H, seed, n_paths):
@@ -307,10 +352,10 @@ class TestBitIdentity:
             min_size=1,
             max_size=6,
         ),
-        cap=st.sampled_from([0, 2048, fbm._SPECTRA_MAX_BYTES]),
+        cap=st.sampled_from([0, 2048, fbm._MEMO_MAX_BYTES]),
     )
     def test_driver_equals_cold_memo_driver_after_any_key_sequence(self, keys, cap):
-        with mock.patch.object(fbm, "_SPECTRA_MAX_BYTES", cap):
+        with mock.patch.object(fbm, "_MEMO_MAX_BYTES", cap):
             fbm._spectral_memo.clear()
             try:
                 for N, H, generator, seed in keys:
