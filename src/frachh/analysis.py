@@ -217,7 +217,7 @@ def simulate_recording_series(
 ) -> RecordingSeries:
     """Simulate a degrading-fiber recording series from the quiescent
     equilibrium: recording k uses Hurst parameter H_k, with H_1 >= H_2 >= ...
-    required on input."""
+    required on input, as are the `_MIN_SAMPLES` samples each estimate needs."""
     seq = [float(h) for h in hurst_sequence]
     if not seq:
         raise ValueError("hurst_sequence must not be empty")
@@ -229,6 +229,8 @@ def simulate_recording_series(
             )
     for h in seq:
         solver_mod.require_young_hurst(h)
+    if config.n_steps + 1 < _MIN_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {config.n_steps + 1}")
     x0 = equilibrium(0.0)
     seeds = fbm_mod.component_seeds(config.seed, n=len(seq))
     results = []

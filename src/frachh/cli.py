@@ -4,9 +4,12 @@ Subcommands: simulate | sweep | fbm | viability | series. Every run is a
 deterministic function of its configuration and master seed (up to the usual
 platform caveats for FFT-backed sampling). Configuration lives in a flat
 `key = value` text file; command-line flags override file values, which
-override the built-in defaults. Outputs are CSV (plus an optional SVG voltage
-trace) in the chosen output directory, with a machine-readable `key=value`
-summary on stdout.
+override the built-in defaults. Each subcommand takes only the flags it reads
+(`_SUBCOMMANDS`), while one config file may serve them all: a key a
+subcommand does not read is ignored. Outputs are CSV (plus an optional SVG
+voltage trace) in the chosen output directory, with a machine-readable
+`key=value` summary on stdout; a usage error is one `error:` line on stderr
+and exit 2.
 """
 
 from __future__ import annotations
@@ -77,7 +80,10 @@ def parse_config_file(path) -> dict:
     """Read a flat `key = value` file into typed overrides; `#` starts a
     comment. Unknown keys and unparsable values are usage errors."""
     overrides = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -103,18 +109,9 @@ def _coerce(key: str, value: str, where: str):
         raise UsageError(f"{where}: bad value for {key!r}: {exc}") from exc
 
 
-def serialize_config(config: RunConfig) -> str:
-    lines = []
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(config, f.name)
-        rendered = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{f.name} = {rendered}")
-    return "\n".join(lines) + "\n"
-
-
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     overrides = {}
-    if getattr(args, "config", None):
+    if args.config:
         overrides.update(parse_config_file(args.config))
     for key in _CONFIG_FIELDS:
         value = getattr(args, key, None)
@@ -306,58 +303,67 @@ def cmd_series(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--T", type=float, help="horizon in ms")
-    p.add_argument("--dt", type=float, help="step in ms")
-    p.add_argument("--I", dest="current_I", metavar="I", type=float,
-                   help="applied current in uA/cm^2")
-    p.add_argument("--hurst", type=float, help="Hurst parameter of the driver")
-    p.add_argument("--sigma", type=float, help="shared noise amplitude for all gates")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--generator", choices=fbm.GENERATORS, help="fBm generator")
-    p.add_argument("--threshold", type=float, help="spike threshold in mV")
-    p.add_argument("--refractory", type=float, help="spike refractory gap in ms")
-    p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line with exit 2, like `main`;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+# Every flag and positional a subcommand can take; each subcommand names the
+# ones it reads in `_SUBCOMMANDS`, and every one takes `--config` and `--out`.
+_ARGUMENTS = {
+    "--config": dict(help="flat key = value config file"),
+    "--T": dict(type=float, help="horizon in ms"),
+    "--dt": dict(type=float, help="step in ms"),
+    "--I": dict(dest="current_I", metavar="I", type=float,
+                help="applied current in uA/cm^2"),
+    "--hurst": dict(type=float, help="Hurst parameter of the driver"),
+    "--sigma": dict(type=float, help="shared noise amplitude for all gates"),
+    "--seed": dict(type=int, help="master seed"),
+    "--generator": dict(choices=fbm.GENERATORS, help="fBm generator"),
+    "--threshold": dict(type=float, help="spike threshold in mV"),
+    "--refractory": dict(type=float, help="spike refractory gap in ms"),
+    "--svg": dict(action="store_true", help="also write a voltage SVG"),
+    "--I-min": dict(type=float, default=0.0),
+    "--I-max": dict(type=float, default=12.0),
+    "--I-step": dict(type=float, default=0.5),
+    "--N": dict(type=int, required=True, help="number of grid steps"),
+    "--sigma-row4": dict(type=float, default=0.0,
+                         help="adversarial constant injected into the voltage row of sigma"),
+    "hurst_values": dict(type=float, nargs="+",
+                         help="non-increasing Hurst values, one recording each"),
+    "--out": dict(dest="out_dir", metavar="OUT", help="output directory"),
+}
+
+_SUBCOMMANDS = {
+    "simulate": (cmd_simulate, "integrate one trajectory",
+                 "--T --dt --I --hurst --sigma --seed --generator --threshold "
+                 "--refractory --svg"),
+    "sweep": (cmd_sweep, "deterministic spike counts over currents",
+              "--T --dt --threshold --refractory --I-min --I-max --I-step"),
+    "fbm": (cmd_fbm, "sample a three-component fBm driver",
+            "--T --hurst --seed --generator --N"),
+    "viability": (cmd_viability, "boundary condition report for (b, sigma)",
+                  "--I --sigma --sigma-row4"),
+    "series": (cmd_series, "degrading-recording series over Hurst values",
+               "--T --dt --I --sigma --seed --generator hurst_values"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frachh",
         description="Stochastic Hodgkin-Huxley simulator driven by fractional "
                     "Brownian gate noise, with sweep/viability/regularity tools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="integrate one trajectory")
-    _add_common_flags(p)
-    p.add_argument("--svg", action="store_true", help="also write a voltage SVG")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("sweep", help="deterministic spike counts over currents")
-    _add_common_flags(p)
-    p.add_argument("--I-min", dest="I_min", type=float, default=0.0)
-    p.add_argument("--I-max", dest="I_max", type=float, default=12.0)
-    p.add_argument("--I-step", dest="I_step", type=float, default=0.5)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("fbm", help="sample a three-component fBm driver")
-    _add_common_flags(p)
-    p.add_argument("--N", type=int, required=True, help="number of grid steps")
-    p.set_defaults(func=cmd_fbm)
-
-    p = sub.add_parser("viability", help="boundary condition report for (b, sigma)")
-    _add_common_flags(p)
-    p.add_argument("--sigma-row4", dest="sigma_row4", type=float, default=0.0,
-                   help="adversarial constant injected into the voltage row of sigma")
-    p.set_defaults(func=cmd_viability)
-
-    p = sub.add_parser("series", help="degrading-recording series over Hurst values")
-    _add_common_flags(p)
-    p.add_argument("hurst_values", type=float, nargs="+",
-                   help="non-increasing Hurst values, one recording each")
-    p.set_defaults(func=cmd_series)
-
+    for command, (func, summary, names) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name in ["--config", *names.split(), "--out"]:
+            p.add_argument(name, **_ARGUMENTS[name])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -188,6 +188,14 @@ class TestRecordingSeries:
         with pytest.raises(ValueError, match="1/2"):
             simulate_recording_series([0.9, 0.3], classic_i10_noisy, SolverConfig())
 
+    def test_short_horizon_rejected_before_any_run(self, classic_i10_noisy, monkeypatch):
+        calls = []
+        monkeypatch.setattr(solver, "simulate", lambda *args: calls.append(args))
+        # T = 1 at dt = 0.01 gives 101 samples, fewer than the estimator needs.
+        with pytest.raises(ValueError, match="need at least 256 samples, got 101"):
+            simulate_recording_series([0.9, 0.7], classic_i10_noisy, SolverConfig(T=1.0))
+        assert calls == []
+
     def test_single_element_series(self, classic_i10_noisy):
         series = simulate_recording_series(
             [0.8], classic_i10_noisy, SolverConfig(T=10.0, dt=0.01, seed=3)

@@ -1,5 +1,6 @@
-"""End-to-end CLI behavior: config round-trip, subcommands, exit codes, outputs."""
+"""End-to-end CLI behavior: config files, options, subcommands, exit codes, outputs."""
 
+import argparse
 import dataclasses
 import os
 import re
@@ -17,7 +18,6 @@ from frachh.cli import (
     build_parser,
     main,
     parse_config_file,
-    serialize_config,
     write_voltage_svg,
 )
 from frachh.kinetics import HHParams
@@ -50,14 +50,28 @@ class TestConfigFile:
         expected.update(current_I=10.0, threshold=50.0, refractory=2.0, out_dir="out")
         assert defaults == expected
 
-    def test_round_trip_identity(self, tmp_path):
-        config = RunConfig(current_I=4.5, sigma_1=0.25, sigma_2=0.25, sigma_3=0.25,
-                           T=20.0, dt=0.02, hurst=0.77, seed=9, out_dir="elsewhere")
+    def test_every_key_parses_to_its_type(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text(serialize_config(config))
-        parsed = RunConfig(**parse_config_file(path))
-        assert parsed == config
-        assert serialize_config(parsed) == serialize_config(config)
+        path.write_text(
+            "capacitance_C = 1.5\ncurrent_I = 4\nE_Na = 110\nE_K = -11.5\nE_L = 10.6\n"
+            "gbar_Na = 100\ngbar_K = 30\ngbar_L = 0.2\nsigma_1 = 0.25\nsigma_2 = 0.5\n"
+            "sigma_3 = 1e-1\nT = 20\ndt = 0.02\nhurst = 0.77\nseed = 9\n"
+            "generator = cholesky\nthreshold = 40\nrefractory = 1.5\nout_dir = elsewhere\n"
+        )
+        expected = {
+            "capacitance_C": 1.5, "current_I": 4.0, "E_Na": 110.0, "E_K": -11.5,
+            "E_L": 10.6, "gbar_Na": 100.0, "gbar_K": 30.0, "gbar_L": 0.2,
+            "sigma_1": 0.25, "sigma_2": 0.5, "sigma_3": 0.1, "T": 20.0, "dt": 0.02,
+            "hurst": 0.77, "seed": 9, "generator": "cholesky", "threshold": 40.0,
+            "refractory": 1.5, "out_dir": "elsewhere",
+        }
+        overrides = parse_config_file(path)
+        assert list(overrides) == CONFIG_KEYS
+        assert overrides == expected
+        assert {k: type(v) for k, v in overrides.items()} == {
+            k: type(v) for k, v in expected.items()
+        }
+        assert dataclasses.asdict(RunConfig(**overrides)) == expected
 
     def test_partial_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -159,6 +173,17 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert "amplitude" in captured.err
+        assert not out.exists()
+
+    def test_unreadable_config_exits_2_without_output(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        out = tmp_path / "never"
+        code, _, captured = run_cli(
+            ["simulate", "--config", str(cfg), "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(cfg) in captured.err
         assert not out.exists()
 
     def test_short_noisy_run_reports_no_holder_exponent(self, tmp_path, capsys):
@@ -387,6 +412,66 @@ def test_bad_solver_config_prints_one_error_line(tmp_path, argv, code, named):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert named in proc.stderr
+    assert not out.exists()
+
+
+# The options each subcommand takes besides --config and --out, and its
+# positionals.
+OPTIONS = {
+    "simulate": ("--T --dt --I --hurst --sigma --seed --generator --threshold "
+                 "--refractory --svg", ""),
+    "sweep": ("--T --dt --threshold --refractory --I-min --I-max --I-step", ""),
+    "fbm": ("--T --hurst --seed --generator --N", ""),
+    "viability": ("--I --sigma --sigma-row4", ""),
+    "series": ("--T --dt --I --sigma --seed --generator", "hurst_values"),
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(OPTIONS)
+    settable = 0
+    for command, parser in subparsers.choices.items():
+        options, positionals = OPTIONS[command]
+        actions = [a for a in parser._actions if a.dest != "help"]
+        assert {s for a in actions for s in a.option_strings} == {
+            "--config", "--out", *options.split()
+        }, command
+        assert [a.dest for a in actions if not a.option_strings] == positionals.split()
+        settable += len(actions)
+    assert settable == 42
+
+
+# Flags each subcommand used to accept and ignore, each with a valid value.
+UNREAD_FLAGS = {
+    ("sweep",): {"--I": "5", "--hurst": "0.75", "--sigma": "0.25", "--seed": "3",
+                 "--generator": "cholesky"},
+    ("fbm", "--N", "16"): {"--dt": "0.01", "--I": "10", "--sigma": "0.25",
+                           "--threshold": "50", "--refractory": "2"},
+    ("viability",): {"--T": "50", "--dt": "0.01", "--hurst": "0.75", "--seed": "3",
+                     "--generator": "cholesky", "--threshold": "50", "--refractory": "2"},
+    ("series", "0.9"): {"--hurst": "0.75", "--threshold": "50", "--refractory": "2"},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [([*argv, flag, value], flag) for argv, flags in UNREAD_FLAGS.items()
+     for flag, value in flags.items()]
+    + [(["fbm", "--N", "16", "--dt", "-1", "--sigma", "-5"], "--dt"),
+       (["viability", "--dt", "-1", "--seed", "-4", "--hurst", "7"], "--dt")],
+    ids=[f"{argv[0]}{flag}" for argv, flags in UNREAD_FLAGS.items() for flag in flags]
+    + ["fbm-several", "viability-several"],
+)
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f" {flag} " in err
     assert not out.exists()
 
 
