@@ -159,7 +159,11 @@ def estimate_holder(values, grid) -> RegularityEstimate:
         raise ValueError("values and grid must be 1-d arrays of equal length")
     if x.size < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {x.size}")
+    if not np.isfinite(x).all():
+        raise ValueError("values must be finite")
     dt = float(t[1] - t[0])
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"grid step must be positive and finite, got {dt}")
     n_scales = min(_MAX_SCALES, int(math.log2(x.size / 8)))
     lags = [2 ** j for j in range(n_scales)]
     mean_sq = []

@@ -8,8 +8,12 @@ override the built-in defaults. Each subcommand takes only the flags it reads
 (`_SUBCOMMANDS`), while one config file may serve them all: a key a
 subcommand does not read is ignored. Outputs are CSV (plus an optional SVG
 voltage trace) in the chosen output directory, with a machine-readable
-`key=value` summary on stdout; a usage error is one `error:` line on stderr
-and exit 2.
+`key=value` summary on stdout.
+
+Exit codes have one rule, applied only in `main`: a value the CLI or the
+library rejects (`ValueError`) is one `error:` line on stderr and exit 2, and
+each subcommand makes every call that can reject a value before its first
+write; a failed run (divergence, I/O), viability audit or voltage bound is 1.
 """
 
 from __future__ import annotations
@@ -24,10 +28,6 @@ import numpy as np
 from . import analysis, fbm, solver, viability
 from .kinetics import HHParams, State, diffusion, equilibrium
 from .solver import SolverConfig
-
-
-class UsageError(Exception):
-    """Bad flags or configuration; maps to exit code 2."""
 
 
 # Most currents one `sweep` simulates.
@@ -62,15 +62,11 @@ RunConfig = dataclasses.make_dataclass(
 
 
 def _library_config(config: RunConfig, cls):
-    """The `HHParams` or `SolverConfig` that `config` describes; a value it
-    rejects is a usage error."""
-    try:
-        return cls(**{
-            f.name: getattr(config, _KEY_FOR_FIELD.get(f.name, f.name))
-            for f in dataclasses.fields(cls)
-        })
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    """The `HHParams` or `SolverConfig` that `config` describes."""
+    return cls(**{
+        f.name: getattr(config, _KEY_FOR_FIELD.get(f.name, f.name))
+        for f in dataclasses.fields(cls)
+    })
 
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -78,21 +74,22 @@ _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 def parse_config_file(path) -> dict:
     """Read a flat `key = value` file into typed overrides; `#` starts a
-    comment. Unknown keys and unparsable values are usage errors."""
+    comment. An unreadable file, unknown key or unparsable value raises
+    `ValueError` naming the file (and line)."""
     overrides = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _CONFIG_FIELDS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         overrides[key] = _coerce(key, value, where=f"{path}:{lineno}")
     return overrides
 
@@ -106,7 +103,7 @@ def _coerce(key: str, value: str, where: str):
             return float(value)
         return str(value)
     except ValueError as exc:
-        raise UsageError(f"{where}: bad value for {key!r}: {exc}") from exc
+        raise ValueError(f"{where}: bad value for {key!r}: {exc}") from exc
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
@@ -120,10 +117,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     sigma = getattr(args, "sigma", None)
     if sigma is not None:
         overrides.update(sigma_1=sigma, sigma_2=sigma, sigma_3=sigma)
-    try:
-        return RunConfig(**overrides)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    return RunConfig(**overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +178,12 @@ def write_voltage_svg(result: solver.SimulationResult, path) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     params = _library_config(config, HHParams)
-    sconf = _library_config(config, SolverConfig)
-    if not params.is_deterministic:
-        try:
-            solver.require_young_hurst(sconf.hurst_H)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    result = solver.simulate(equilibrium(0.0), params, sconf)
+    result = solver.simulate(equilibrium(0.0), params,
+                             _library_config(config, SolverConfig))
     spikes = analysis.detect_spikes(result, config.threshold, config.refractory)
+    holder = (None if params.is_deterministic
+              else "none" if len(result.trajectory) < analysis._MIN_SAMPLES
+              else analysis.gate_regularity(result).exponent)
     out = _out_dir(config)
     solver.write_trajectory_csv(result, out / "trajectory.csv")
     solver.write_clamp_csv(result, out / "clamp_events.csv")
@@ -202,10 +194,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _emit("clamp_events", len(result.clamp_events))
     _emit("apriori_bound", result.apriori_bound)
     _emit("bound_satisfied", result.bound_satisfied)
-    if not params.is_deterministic:
-        too_short = len(result.trajectory) < analysis._MIN_SAMPLES
-        _emit("holder_exponent",
-              "none" if too_short else analysis.gate_regularity(result).exponent)
+    if holder is not None:
+        _emit("holder_exponent", holder)
     _emit("trajectory_csv", out / "trajectory.csv")
     return 0 if result.bound_satisfied else 1
 
@@ -215,20 +205,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for flag, value in (("--I-min", args.I_min), ("--I-max", args.I_max),
                         ("--I-step", args.I_step)):
         if not np.isfinite(value):
-            raise UsageError(f"{flag} must be finite, got {value}")
+            raise ValueError(f"{flag} must be finite, got {value}")
     if args.I_step <= 0.0:
-        raise UsageError(f"--I-step must be positive, got {args.I_step}")
+        raise ValueError(f"--I-step must be positive, got {args.I_step}")
     stop = args.I_max + 0.5 * args.I_step
     # np.arange makes ceil((stop - start) / step) currents; count them first.
     points = (stop - args.I_min) / args.I_step
     if points > _SWEEP_MAX_POINTS:
-        raise UsageError(
+        raise ValueError(
             f"current range [{args.I_min}, {args.I_max}] step {args.I_step} has "
             f"{np.ceil(points):.15g} points, more than {_SWEEP_MAX_POINTS}"
         )
     currents = np.arange(args.I_min, stop, args.I_step)
     if currents.size == 0:
-        raise UsageError(
+        raise ValueError(
             f"empty current range [{args.I_min}, {args.I_max}] step {args.I_step}"
         )
     sweep = analysis.bifurcation_sweep(
@@ -247,11 +237,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_fbm(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    try:
-        driver = fbm.sample_driver(args.N, config.T, config.hurst, config.seed,
-                                   config.generator)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    driver = fbm.sample_driver(args.N, config.T, config.hurst, config.seed,
+                               config.generator)
     out = _out_dir(config)
     fbm.write_driver_csv(driver, out / "fbm.csv")
     _emit("N", args.N)
@@ -283,13 +270,10 @@ def cmd_viability(args: argparse.Namespace) -> int:
 
 def cmd_series(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    try:
-        series = analysis.simulate_recording_series(
-            args.hurst_values, _library_config(config, HHParams),
-            _library_config(config, SolverConfig),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    series = analysis.simulate_recording_series(
+        args.hurst_values, _library_config(config, HHParams),
+        _library_config(config, SolverConfig),
+    )
     out = _out_dir(config)
     analysis.write_series_csv(series, out / "series.csv")
     for k, est in enumerate(series.estimates, start=1):
@@ -304,8 +288,8 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one `error:` line with exit 2, like `main`;
-    subparsers inherit the class."""
+    """Reports a bad command line as one `error:` line with exit 2, like a
+    rejected value in `main`; subparsers inherit the class."""
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")
@@ -368,16 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand. The only place an exception becomes an exit code:
+    a rejected value (`ValueError`) gives 2, a failed run (`OSError`,
+    `RuntimeError`) gives 1."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,12 @@ def _linalg():
         return scipy.linalg
     except NameError:
         return __getattr__("scipy").linalg
+
+
+def require_seed(seed) -> None:
+    """Reject a seed that is not a nonnegative integer; numpy integers pass."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _check_hurst(H: float) -> float:
@@ -205,9 +212,9 @@ class FbmPath:
 
 
 def _check_grid_args(N: int, T: float) -> tuple[int, float]:
+    if not isinstance(N, numbers.Integral) or N < 1:
+        raise ValueError(f"grid size N must be an integer >= 1, got {N!r}")
     N = int(N)
-    if N < 1:
-        raise ValueError(f"grid size N must be >= 1, got {N}")
     T = float(T)
     if not (T > 0.0) or not math.isfinite(T):
         raise ValueError(f"horizon T must be positive and finite, got {T!r}")
@@ -387,8 +394,7 @@ def sample_driver(
     `_SAMPLERS[generator](N, T, H, master_seed, 3)`."""
     if generator not in _SAMPLERS:
         raise ValueError(f"unknown generator {generator!r}, expected one of {GENERATORS}")
-    if master_seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {master_seed!r}")
+    require_seed(master_seed)
     N, T = _check_grid_args(N, T)
     H = _check_hurst(H)
     return FbmPath(T=T, increments=_SAMPLERS[generator](N, T, H, master_seed, 3).T)

@@ -95,8 +95,7 @@ class SolverConfig:
             raise ValueError(f"dt={self.dt} must divide T={self.T} up to rounding")
         if not (0.0 < self.hurst_H < 1.0):
             raise ValueError(f"hurst_H must lie in ]0,1[, got {self.hurst_H!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
+        fbm.require_seed(self.seed)
         if self.generator not in GENERATORS:
             raise ValueError(f"generator must be one of {GENERATORS}, got {self.generator!r}")
 

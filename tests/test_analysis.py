@@ -164,6 +164,15 @@ class TestHolderEstimator:
         t = np.linspace(0.0, 1.0, 100)
         with pytest.raises(ValueError):
             estimate_holder(t, t)
+        # Also rejected: a non-finite value, and a reversed or constant grid.
+        t = np.linspace(0.0, 1.0, 1024)
+        x = np.sqrt(t)
+        x[500] = np.nan
+        with pytest.raises(ValueError, match="values must be finite"):
+            estimate_holder(x, t)
+        for grid in (t[::-1], np.zeros_like(t)):
+            with pytest.raises(ValueError, match="grid step must be positive"):
+                estimate_holder(np.sqrt(t), grid)
 
     def test_gate_paths_rank_by_hurst(self, eq0, classic_i10_noisy):
         medians = []

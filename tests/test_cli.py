@@ -211,11 +211,11 @@ class TestSimulateCommand:
         [("--threshold", "nan"), ("--threshold", "-inf"), ("--refractory", "nan"),
          ("--refractory", "inf"), ("--refractory", "-1.0")],
     )
-    def test_bad_spike_detection_exits_1_without_output(self, tmp_path, capsys, flag, value):
+    def test_bad_spike_detection_exits_2_without_output(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x"
         code, summary, captured = run_cli(["simulate", f"{flag}={value}", "--out", str(out)],
                                           capsys)
-        assert code == 1
+        assert code == 2
         assert f"got {value}" in captured.err
         assert "spike_count" not in summary
         assert not out.exists()
@@ -285,12 +285,12 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "flag, value", [("--threshold", "inf"), ("--refractory", "nan"), ("--refractory", "-2.0")]
     )
-    def test_bad_spike_detection_exits_1_without_output(self, tmp_path, capsys, flag, value):
+    def test_bad_spike_detection_exits_2_without_output(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x"
         code, summary, captured = run_cli(
             ["sweep", "--I-max", "3", f"{flag}={value}", "--out", str(out)], capsys
         )
-        assert code == 1
+        assert code == 2
         assert f"got {value}" in captured.err
         assert "I1_hat" not in summary
         assert not out.exists()
@@ -398,6 +398,8 @@ class TestSeriesCommand:
         # A noisy run below the Young range is a usage error in both commands.
         (["simulate", "--sigma", "0.25", "--hurst", "0.3"], 2, "got 0.3"),
         (["series", "0.3", "--sigma", "0.25"], 2, "got 0.3"),
+        # A run that diverges fails with exit 1, also before any output.
+        (["simulate", "--dt", "0.1"], 1, "reduce dt"),
     ],
 )
 def test_bad_solver_config_prints_one_error_line(tmp_path, argv, code, named):

@@ -138,6 +138,13 @@ class TestCholesky:
             sample_driver(8, -1.0, 0.5, 0, "cholesky")
         with pytest.raises(ValueError):
             sample_driver(8, 1.0, 1.2, 0, "cholesky")
+        with pytest.raises(ValueError, match="got 16.9"):
+            sample_driver(16.9, 1.0, 0.75, 0)
+        with pytest.raises(ValueError, match="got 1.5"):
+            sample_driver(16, 1.0, 0.75, 1.5)
+        # numpy integers are integers.
+        driver = sample_driver(np.int64(16), 1.0, 0.75, np.uint32(1))
+        assert driver.increments.shape == (16, 3)
 
 
 @pytest.fixture

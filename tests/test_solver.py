@@ -52,11 +52,15 @@ class TestConfig:
             dict(T=1e308, dt=1e-10),
             dict(seed=-1),
             dict(generator="spectral"),
+            dict(seed=1.5),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert SolverConfig(seed=np.int64(3)).seed == 3
 
     def test_stochastic_needs_young_range_hurst(self, eq0):
         params = HHParams.classic(current_I=10.0, sigma=0.25)
