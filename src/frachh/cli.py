@@ -74,13 +74,18 @@ _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 def parse_config_file(path) -> dict:
     """Read a flat `key = value` file into typed overrides; `#` starts a
-    comment. An unreadable file, unknown key or unparsable value raises
-    `ValueError` naming the file (and line)."""
+    comment. An unreadable or non-UTF-8 file, unknown key or unparsable value
+    raises `ValueError` naming the file (and line)."""
     overrides = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"cannot read config file {path}: not UTF-8 "
+            f"(byte {exc.object[exc.start]:#04x} at offset {exc.start})"
+        ) from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

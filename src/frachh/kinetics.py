@@ -137,7 +137,9 @@ class State:
         return (self.m, self.h, self.n)
 
     def is_finite(self) -> bool:
-        return all(math.isfinite(c) for c in (self.m, self.h, self.n, self.V))
+        isfinite = math.isfinite
+        return (isfinite(self.m) and isfinite(self.h)
+                and isfinite(self.n) and isfinite(self.V))
 
     def gates_in_unit_box(self) -> bool:
         return all(0.0 <= g <= 1.0 for g in self.gates)

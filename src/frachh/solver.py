@@ -27,9 +27,13 @@ The loop evaluates the gate rates inline. Where V lies on
 the loop writes out its six closed forms with the same expressions in the
 same order, so every bit matches. Anywhere else, at the series points, where
 an exponential would saturate, or on a non-finite V, it calls `rates`,
-looked up as this module's global at call time. The trajectory is appended
-to a flat `array("d")` and handed out as an (n_steps + 1, 4) numpy view of
-it, without a copy.
+looked up as this module's global at call time. The trajectory is a flat
+`array("d")` allocated at its final size and handed out as an
+(n_steps + 1, 4) numpy view of it, without a copy. The loop runs in blocks of
+`_BLOCK_STEPS` steps: each block's increments become Python floats only for
+that block, and its states are appended to a block buffer that is copied into
+the trajectory, so the loop's memory beyond the trajectory does not grow with
+the run.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ from .kinetics import _EXP_MAX, _SERIES_GAP, HHParams, State, rates, require_in_
 # lower still. The upper end keeps inf, which `rates` rejects, off the fast path.
 _FAST_V_MIN = 30.0 - 10.0 * _EXP_MAX
 _FAST_V_MAX = sys.float_info.max
+# Steps per block of `_integrate`'s loop.
+_BLOCK_STEPS = 4096
 
 
 class DivergenceError(RuntimeError):
@@ -162,67 +168,68 @@ def _integrate(
     exp, expm1 = math.exp, math.expm1
     v_min, v_max, gap = _FAST_V_MIN, _FAST_V_MAX, _SERIES_GAP
 
-    if increments is not None:
-        inc1 = increments[:, 0].tolist()
-        inc2 = increments[:, 1].tolist()
-        inc3 = increments[:, 2].tolist()
-
     m, h, n, v = x0.m, x0.h, x0.n, x0.V
-    buf = array("d", (m, h, n, v))
-    push = buf.append
+    buf = array("d", (m, h, n, v)) * (n_steps + 1)
     events: list[ClampEvent] = []
 
-    for k in range(n_steps):
-        # `kinetics.rates(v)` written out, expression for expression, where
-        # none of its branches fires; anywhere else it is called.
-        xm = 25.0 - v
-        xn = 10.0 - v
-        if v_min <= v <= v_max and abs(xm) >= gap and abs(xn) >= gap:
-            am = 0.1 * (xm / expm1(0.1 * xm))
-            bm = 4.0 * exp(-v / 18.0)
-            ah = 0.07 * exp(-v / 20.0)
-            bh = 1.0 / (exp((30.0 - v) / 10.0) + 1.0)
-            an = 0.01 * (xn / expm1(0.1 * xn))
-            bn = 0.125 * exp(-v / 80.0)
-        else:
-            am, bm, ah, bh, an, bn = rates(v)
-        new_m = m + (am - (am + bm) * m) * dt
-        new_h = h + (ah - (ah + bh) * h) * dt
-        new_n = n + (an - (an + bn) * n) * dt
-        ion = (
-            g_na * m * m * m * h * (v - e_na)
-            + g_k * n * n * n * n * (v - e_k)
-            + g_l * (v - e_l)
-        )
-        new_v = v + (I - ion) / C * dt
+    for lo in range(0, n_steps, _BLOCK_STEPS):
+        hi = min(lo + _BLOCK_STEPS, n_steps)
         if increments is not None:
-            new_m += s1 * m * (1.0 - m) * inc1[k]
-            new_h += s2 * h * (1.0 - h) * inc2[k]
-            new_n += s3 * n * (1.0 - n) * inc3[k]
+            inc1, inc2, inc3 = increments[lo:hi].T.tolist()
+        block = array("d")
+        push = block.append
+        for i in range(hi - lo):
+            # `kinetics.rates(v)` written out, expression for expression, where
+            # none of its branches fires; anywhere else it is called.
+            xm = 25.0 - v
+            xn = 10.0 - v
+            if v_min <= v <= v_max and abs(xm) >= gap and abs(xn) >= gap:
+                am = 0.1 * (xm / expm1(0.1 * xm))
+                bm = 4.0 * exp(-v / 18.0)
+                ah = 0.07 * exp(-v / 20.0)
+                bh = 1.0 / (exp((30.0 - v) / 10.0) + 1.0)
+                an = 0.01 * (xn / expm1(0.1 * xn))
+                bn = 0.125 * exp(-v / 80.0)
+            else:
+                am, bm, ah, bh, an, bn = rates(v)
+            new_m = m + (am - (am + bm) * m) * dt
+            new_h = h + (ah - (ah + bh) * h) * dt
+            new_n = n + (an - (an + bn) * n) * dt
+            ion = (
+                g_na * m * m * m * h * (v - e_na)
+                + g_k * n * n * n * n * (v - e_k)
+                + g_l * (v - e_l)
+            )
+            new_v = v + (I - ion) / C * dt
+            if increments is not None:
+                new_m += s1 * m * (1.0 - m) * inc1[i]
+                new_h += s2 * h * (1.0 - h) * inc2[i]
+                new_n += s3 * n * (1.0 - n) * inc3[i]
 
-        if new_m < 0.0 or new_m > 1.0:
-            events.append(ClampEvent(step=k, coord="m", pre_value=new_m))
-            new_m = min(1.0, max(0.0, new_m))
-        if new_h < 0.0 or new_h > 1.0:
-            events.append(ClampEvent(step=k, coord="h", pre_value=new_h))
-            new_h = min(1.0, max(0.0, new_h))
-        if new_n < 0.0 or new_n > 1.0:
-            events.append(ClampEvent(step=k, coord="n", pre_value=new_n))
-            new_n = min(1.0, max(0.0, new_n))
+            if new_m < 0.0 or new_m > 1.0:
+                events.append(ClampEvent(step=lo + i, coord="m", pre_value=new_m))
+                new_m = min(1.0, max(0.0, new_m))
+            if new_h < 0.0 or new_h > 1.0:
+                events.append(ClampEvent(step=lo + i, coord="h", pre_value=new_h))
+                new_h = min(1.0, max(0.0, new_h))
+            if new_n < 0.0 or new_n > 1.0:
+                events.append(ClampEvent(step=lo + i, coord="n", pre_value=new_n))
+                new_n = min(1.0, max(0.0, new_n))
 
-        if not (
-            math.isfinite(new_v)
-            and math.isfinite(new_m)
-            and math.isfinite(new_h)
-            and math.isfinite(new_n)
-        ):
-            raise DivergenceError(step=k)
+            if not (
+                math.isfinite(new_v)
+                and math.isfinite(new_m)
+                and math.isfinite(new_h)
+                and math.isfinite(new_n)
+            ):
+                raise DivergenceError(step=lo + i)
 
-        m, h, n, v = new_m, new_h, new_n, new_v
-        push(m)
-        push(h)
-        push(n)
-        push(v)
+            m, h, n, v = new_m, new_h, new_n, new_v
+            push(m)
+            push(h)
+            push(n)
+            push(v)
+        buf[4 * lo + 4 : 4 * hi + 4] = block
 
     return np.frombuffer(buf).reshape(n_steps + 1, 4), events
 

@@ -13,6 +13,14 @@ and additionally that the voltage row of sigma vanishes, which the
 non-explosion argument for the unbounded V direction needs. Violations are
 data, not errors; the report records the worst offenders.
 
+The sweep's states and each point's normal-cone generators are built once
+per process (`_fixed_sweep`). An audit calls the diffusion field once at each
+of the 7203 points and the drift field once at each of the 4578 boundary
+points, stacks the results into (7203, 4, 3) and (4578, 4) arrays, and takes
+every inner product, scale, maximum and worst point as a whole-array
+reduction. The report is the one a point-by-point loop with strict `>`
+updates would give: ties go to the first point of the sweep.
+
 `apriori_voltage_bound` turns the linear growth of the voltage drift on K into
 an exponential-in-time bound on |V| via Gronwall's lemma. The constant is read
 off the parameter magnitudes, so the bound is a non-explosion certificate, not
@@ -21,11 +29,12 @@ a tight envelope; at the classic parameter scale it overflows to inf.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -78,6 +87,30 @@ def _sweep() -> Iterator[State]:
                 yield State(m, h, n, v)
 
 
+class _FixedSweep(NamedTuple):
+    """`_sweep()` with each point's normal cone, as arrays.
+
+    `boundary` indexes the B points whose cone is not empty, in sweep order;
+    row j of the (B, R, 4) `rays` holds boundary point j's generators,
+    zero-padded to the largest count R. Both arrays are read-only.
+    """
+
+    states: tuple[State, ...]
+    boundary: np.ndarray
+    rays: np.ndarray
+
+
+@functools.cache
+def _fixed_sweep() -> _FixedSweep:
+    states = tuple(_sweep())
+    cones = [normal_cone_generators(x) for x in states]
+    boundary = np.array([i for i, cone in enumerate(cones) if cone])
+    pad = [np.zeros(4)] * max(map(len, cones))
+    rays = np.array([cones[i] + pad[len(cones[i]):] for i in boundary])
+    boundary.flags.writeable = rays.flags.writeable = False
+    return _FixedSweep(states, boundary, rays)
+
+
 @dataclass(frozen=True)
 class ViabilityReport:
     """Outcome of the sweep; `passed` means no violation above 1e-12 of the
@@ -112,50 +145,50 @@ def check_viability(
     passing replacements is how adversarial fields are audited. The voltage
     row of sigma is checked at every point, interior ones included: a row
     that vanishes on the boundary could still be nonzero inside. A non-finite
-    field value counts as an infinite violation, so it fails the audit.
+    field value counts as an infinite violation, so it fails the audit; for
+    the drift that is any non-finite component, V included, as it is for the
+    inner product <s, b>. Ties go to the point that comes first in the sweep.
     """
     drift_fn = drift_fn or (lambda x: kinetics.drift(x, params))
     diffusion_fn = diffusion_fn or (lambda x: kinetics.diffusion(x, params))
+    states, boundary, rays = _fixed_sweep()
 
-    points = interior_points = 0
-    max_drift = -math.inf
-    max_diff = drift_scale = diff_scale = 0.0
-    worst_drift_point: State | None = None
-    worst_diff_point: State | None = None
+    sigma = np.empty((len(states), 4, 3))
+    for i, x in enumerate(states):
+        sigma[i] = diffusion_fn(x)
+    b = np.empty((len(boundary), 4))
+    for row, i in enumerate(boundary):
+        b[row] = drift_fn(states[i])
 
-    for x in _sweep():
-        generators = normal_cone_generators(x)
-        sigma = np.asarray(diffusion_fn(x), dtype=float)
-        peak = float(np.max(np.abs(sigma)))
-        if math.isfinite(peak):
-            diff_scale = max(diff_scale, peak)
-            diff = float(np.max(np.abs(sigma[3, :])))
-        else:
-            diff = math.inf
-        if not generators:
-            interior_points += 1
-        else:
-            points += 1
-            b = np.asarray(drift_fn(x), dtype=float)
-            for s in generators:
-                sb = float(s @ b)
-                if math.isfinite(sb):
-                    drift_scale = max(drift_scale, abs(sb))
-                else:
-                    sb = math.inf
-                if sb > max_drift:
-                    max_drift = sb
-                    worst_drift_point = x
-                diff = max(diff, float(np.max(np.abs(s @ sigma))))
-        if diff > max_diff:
-            max_diff = diff
-            worst_diff_point = x
+    with np.errstate(invalid="ignore", over="ignore"):
+        # Drift: <s, b> per ray; padding rays never win the maximum.
+        sb = (rays @ b[:, :, None])[:, :, 0]
+        sb[~np.isfinite(sb) | ~np.isfinite(b).all(axis=1)[:, None]] = math.inf
+        drift_scale = float(np.abs(sb[np.isfinite(sb)]).max(initial=0.0))
+        sb[~rays.any(axis=2)] = -math.inf
+        worst = int(np.argmax(sb))
+        max_drift = float(sb.flat[worst])
+        worst_drift_point = states[boundary[worst // sb.shape[1]]]
+
+        # Diffusion: the voltage row everywhere, <s, sigma> on the boundary.
+        magnitude = np.abs(sigma)
+        peak = magnitude.max(axis=(1, 2))
+        finite = np.isfinite(peak)
+        diff_scale = float(peak[finite].max(initial=0.0))
+        diff = magnitude[:, 3, :].max(axis=1)
+        diff[boundary] = np.maximum(
+            diff[boundary], np.abs(rays @ sigma[boundary]).max(axis=(1, 2))
+        )
+        diff[~finite] = math.inf
+        worst = int(np.argmax(diff))
+        max_diff = float(diff[worst])
+        worst_diff_point = states[worst] if max_diff > 0.0 else None
 
     drift_tol = _VIOLATION_RTOL * max(1.0, drift_scale)
     diff_tol = _VIOLATION_RTOL * max(1.0, diff_scale)
     return ViabilityReport(
-        points_checked=points,
-        interior_points_checked=interior_points,
+        points_checked=len(boundary),
+        interior_points_checked=len(states) - len(boundary),
         max_drift_violation=max_drift,
         max_diffusion_violation=max_diff,
         drift_tolerance=drift_tol,

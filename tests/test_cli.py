@@ -186,6 +186,18 @@ class TestSimulateCommand:
         assert str(cfg) in captured.err
         assert not out.exists()
 
+    def test_non_utf8_config_named_in_error_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes(b"\xff\xfeT\x00 \x00=\x00 \x001\x00\n\x00")
+        out = tmp_path / "never"
+        code, _, captured = run_cli(
+            ["simulate", "--config", str(cfg), "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(cfg) in captured.err and "UTF-8" in captured.err
+        assert not out.exists()
+
     def test_short_noisy_run_reports_no_holder_exponent(self, tmp_path, capsys):
         # T = 1 at dt = 0.01 gives 101 samples, fewer than the estimator needs.
         out = tmp_path / "short"

@@ -315,6 +315,49 @@ class TestSimulate:
         assert run.max_abs_V == np.abs(run.voltage).max()
 
 
+class TestBlocks:
+    """`_integrate` runs in blocks of `solver._BLOCK_STEPS` steps; the result
+    must not depend on where the seams fall."""
+
+    BLOCK = solver._BLOCK_STEPS
+
+    @pytest.fixture(scope="class")
+    def clamp_heavy(self):
+        params = HHParams.classic(current_I=10.0, sigma=10.0)
+        n_max = 2 * self.BLOCK + 1
+        config = SolverConfig(T=n_max * 0.01, dt=0.01, hurst_H=0.55, seed=0)
+        return params, _driver_increments(params, config)
+
+    @pytest.mark.parametrize("offset", [(1, -1), (1, 0), (1, 1), (2, 1)],
+                             ids=["block-1", "block", "block+1", "2block+1"])
+    def test_seams_bit_identical_to_one_block(self, monkeypatch, eq0, clamp_heavy, offset):
+        params, increments = clamp_heavy
+        n = offset[0] * self.BLOCK + offset[1]
+        runs = [
+            _integrate(eq0, params, 0.01, n, increments[:n]),
+            _integrate(eq0, HHParams.classic(current_I=10.0), 0.01, n, None),
+        ]
+        monkeypatch.setattr(solver, "_BLOCK_STEPS", n)
+        whole = [
+            _integrate(eq0, params, 0.01, n, increments[:n]),
+            _integrate(eq0, HHParams.classic(current_I=10.0), 0.01, n, None),
+        ]
+        for (traj, events), (ref_traj, ref_events) in zip(runs, whole):
+            assert traj.shape == (n + 1, 4)
+            assert traj.tobytes() == ref_traj.tobytes()
+            assert events == ref_events
+        steps = {ev.step for ev in runs[0][1]}
+        assert min(steps) < self.BLOCK - 1 and max(steps) >= n - 64
+
+    def test_divergence_step_is_global(self, eq0, clamp_heavy):
+        params, increments = clamp_heavy
+        bad = increments.copy()
+        bad[self.BLOCK + 5, 1] = math.nan
+        with pytest.raises(DivergenceError) as err:
+            _integrate(eq0, params, 0.01, len(bad), bad)
+        assert err.value.step == self.BLOCK + 5
+
+
 class TestConvergenceProbe:
     DT_LADDER = [0.02, 0.01, 0.005, 0.0025, 0.00125]
 

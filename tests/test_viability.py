@@ -4,15 +4,113 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from frachh import solver
+from frachh import solver, viability
 from frachh.kinetics import HHParams, State, diffusion, drift
 from frachh.viability import (
+    ViabilityReport,
     apriori_voltage_bound,
     check_viability,
     linear_growth_constant,
     normal_cone_generators,
 )
+
+
+def _reference_audit(params, drift_fn=None, diffusion_fn=None):
+    """The audit as a plain loop over the sweep, one point and one ray at a
+    time, with the running maxima updated on a strict `>`."""
+    drift_fn = drift_fn or (lambda x: drift(x, params))
+    diffusion_fn = diffusion_fn or (lambda x: diffusion(x, params))
+
+    points = interior_points = 0
+    max_drift = -math.inf
+    max_diff = drift_scale = diff_scale = 0.0
+    worst_drift_point = worst_diff_point = None
+
+    for x in viability._sweep():
+        generators = normal_cone_generators(x)
+        sigma = np.asarray(diffusion_fn(x), dtype=float)
+        peak = float(np.max(np.abs(sigma)))
+        if math.isfinite(peak):
+            diff_scale = max(diff_scale, peak)
+            diff = float(np.max(np.abs(sigma[3, :])))
+        else:
+            diff = math.inf
+        if not generators:
+            interior_points += 1
+        else:
+            points += 1
+            b = np.asarray(drift_fn(x), dtype=float)
+            for s in generators:
+                sb = float(s @ b)
+                if math.isfinite(sb):
+                    drift_scale = max(drift_scale, abs(sb))
+                else:
+                    sb = math.inf
+                if sb > max_drift:
+                    max_drift = sb
+                    worst_drift_point = x
+                diff = max(diff, float(np.max(np.abs(s @ sigma))))
+        if diff > max_diff:
+            max_diff = diff
+            worst_diff_point = x
+
+    drift_tol = viability._VIOLATION_RTOL * max(1.0, drift_scale)
+    diff_tol = viability._VIOLATION_RTOL * max(1.0, diff_scale)
+    return ViabilityReport(
+        points_checked=points,
+        interior_points_checked=interior_points,
+        max_drift_violation=max_drift,
+        max_diffusion_violation=max_diff,
+        drift_tolerance=drift_tol,
+        diffusion_tolerance=diff_tol,
+        passed=(max_drift <= drift_tol) and (max_diff <= diff_tol),
+        worst_drift_point=worst_drift_point,
+        worst_diffusion_point=worst_diff_point,
+    )
+
+
+_SWEEP_INDEX = {x: i for i, x in enumerate(viability._sweep())}
+_NOISY = HHParams.classic(current_I=10.0, sigma=0.25)
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+_ENTRY = st.one_of(_SPECIAL, st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _fields(draw):
+    """A (drift_fn, diffusion_fn) pair: the model's or constant fields, with
+    single entries at single sweep points overwritten, often by NaN, +-inf or
+    a signed zero."""
+    if draw(st.booleans()):
+        base_b = lambda x: drift(x, _NOISY)
+        base_sigma = lambda x: diffusion(x, _NOISY)
+    else:
+        b0 = np.array(draw(st.lists(_ENTRY, min_size=4, max_size=4)))
+        sigma0 = np.array(draw(st.lists(_ENTRY, min_size=12, max_size=12))).reshape(4, 3)
+        base_b = lambda x: b0.copy()
+        base_sigma = lambda x: sigma0.copy()
+    point = st.integers(0, len(_SWEEP_INDEX) - 1)
+    b_edits = draw(st.lists(st.tuples(point, st.integers(0, 3), _ENTRY), max_size=4))
+    sigma_edits = draw(st.lists(
+        st.tuples(point, st.integers(0, 3), st.integers(0, 2), _ENTRY), max_size=4))
+
+    def drift_fn(x):
+        b = base_b(x)
+        for i, row, value in b_edits:
+            if _SWEEP_INDEX[x] == i:
+                b[row] = value
+        return b
+
+    def diffusion_fn(x):
+        sigma = base_sigma(x)
+        for i, row, col, value in sigma_edits:
+            if _SWEEP_INDEX[x] == i:
+                sigma[row, col] = value
+        return sigma
+
+    return drift_fn, diffusion_fn
 
 
 class TestNormalCone:
@@ -151,6 +249,39 @@ class TestCheckViability:
         )
         expected["pass"] = False
         assert check_viability(classic_i10_noisy, diffusion_fn=row4).to_dict() == expected
+
+    def test_nan_in_drift_voltage_only_fails_at_that_point(self, classic_i10_noisy):
+        x = State(0.0, 0.5, 1.0, 40.0)
+
+        def nan_v(y):
+            b = drift(y, classic_i10_noisy)
+            if y == x:
+                b[3] = math.nan
+            return b
+
+        report = check_viability(classic_i10_noisy, drift_fn=nan_v)
+        assert report.max_drift_violation == math.inf
+        assert report.worst_drift_point == x
+        assert not report.passed
+
+    def test_sweep_is_built_once_per_process(self):
+        sweep = viability._fixed_sweep()
+        assert viability._fixed_sweep() is sweep
+        assert sweep.states == tuple(viability._sweep())
+        assert sweep.boundary.tolist() == list(range(4578))
+
+    @settings(max_examples=20, deadline=None)
+    @given(fields=_fields())
+    @example(fields=(lambda x: np.array([0.0, -0.0, 0.0, math.nan]),
+                     lambda x: np.zeros((4, 3))))
+    @example(fields=(lambda x: np.array([-0.0, -0.0, -0.0, -0.0]),
+                     lambda x: np.full((4, 3), -0.0)))
+    def test_matches_reference_loop(self, classic_i10_noisy, fields):
+        drift_fn, diffusion_fn = fields
+        with np.errstate(all="ignore"):
+            expected = _reference_audit(classic_i10_noisy, drift_fn, diffusion_fn)
+        report = check_viability(classic_i10_noisy, drift_fn, diffusion_fn)
+        assert report.to_text() == expected.to_text()
 
 
 class TestVoltageBound:
