@@ -27,13 +27,11 @@ The loop evaluates the gate rates inline. Where V lies on
 the loop writes out its six closed forms with the same expressions in the
 same order, so every bit matches. Anywhere else, at the series points, where
 an exponential would saturate, or on a non-finite V, it calls `rates`,
-looked up as this module's global at call time. The trajectory is a flat
-`array("d")` allocated at its final size and handed out as an
-(n_steps + 1, 4) numpy view of it, without a copy. The loop runs in blocks of
-`_BLOCK_STEPS` steps: each block's increments become Python floats only for
-that block, and its states are appended to a block buffer that is copied into
-the trajectory, so the loop's memory beyond the trajectory does not grow with
-the run.
+looked up as this module's global at call time. The trajectory is appended
+to a flat `array("d")` and handed out as an (n_steps + 1, 4) numpy view of
+it, without a copy. The loop runs in blocks of `_BLOCK_STEPS` steps, and the
+driver increments become Python floats one block at a time, so the loop
+holds no whole-run lists of them.
 """
 
 from __future__ import annotations
@@ -169,15 +167,14 @@ def _integrate(
     v_min, v_max, gap = _FAST_V_MIN, _FAST_V_MAX, _SERIES_GAP
 
     m, h, n, v = x0.m, x0.h, x0.n, x0.V
-    buf = array("d", (m, h, n, v)) * (n_steps + 1)
+    buf = array("d", (m, h, n, v))
+    push = buf.append
     events: list[ClampEvent] = []
 
     for lo in range(0, n_steps, _BLOCK_STEPS):
         hi = min(lo + _BLOCK_STEPS, n_steps)
         if increments is not None:
             inc1, inc2, inc3 = increments[lo:hi].T.tolist()
-        block = array("d")
-        push = block.append
         for i in range(hi - lo):
             # `kinetics.rates(v)` written out, expression for expression, where
             # none of its branches fires; anywhere else it is called.
@@ -229,7 +226,6 @@ def _integrate(
             push(h)
             push(n)
             push(v)
-        buf[4 * lo + 4 : 4 * hi + 4] = block
 
     return np.frombuffer(buf).reshape(n_steps + 1, 4), events
 

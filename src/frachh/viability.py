@@ -13,13 +13,14 @@ and additionally that the voltage row of sigma vanishes, which the
 non-explosion argument for the unbounded V direction needs. Violations are
 data, not errors; the report records the worst offenders.
 
-The sweep's states and each point's normal-cone generators are built once
-per process (`_fixed_sweep`). An audit calls the diffusion field once at each
-of the 7203 points and the drift field once at each of the 4578 boundary
-points, stacks the results into (7203, 4, 3) and (4578, 4) arrays, and takes
-every inner product, scale, maximum and worst point as a whole-array
-reduction. The report is the one a point-by-point loop with strict `>`
-updates would give: ties go to the first point of the sweep.
+An audit builds the sweep and, from one face rule (`_face_signs`) applied to
+all its points at once, each point's generators as the rows of a (3, 4)
+matrix, a zero row standing for a gate on no face. It calls the diffusion
+field once at each of the 7203 points and the drift field once at each of the
+4578 boundary points, stacks the results into (7203, 4, 3) and (4578, 4)
+arrays, and takes every inner product, scale, maximum and worst point as a
+whole-array reduction. The report is the one a point-by-point loop with
+strict `>` updates would give: ties go to the first point of the sweep.
 
 `apriori_voltage_bound` turns the linear growth of the voltage drift on K into
 an exponential-in-time bound on |V| via Gronwall's lemma. The constant is read
@@ -29,12 +30,11 @@ a tight envelope; at the classic parameter scale it overflows to inf.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -47,6 +47,16 @@ _FACE_ATOL = 1e-12
 _VIOLATION_RTOL = 1e-12
 
 
+def _face_signs(gates: np.ndarray) -> np.ndarray:
+    """-1 where a gate coordinate lies on its 0 face, +1 where it lies on its
+    1 face, 0 elsewhere; the last axis of `gates` is (m, h, n)."""
+    return np.where(
+        np.abs(gates) <= _FACE_ATOL,
+        -1.0,
+        np.where(np.abs(gates - 1.0) <= _FACE_ATOL, 1.0, 0.0),
+    )
+
+
 def normal_cone_generators(x: State) -> list[np.ndarray]:
     """Extreme rays of the normal cone to [0,1]^3 x R at `x`.
 
@@ -55,14 +65,10 @@ def normal_cone_generators(x: State) -> list[np.ndarray]:
     there). Interior points get an empty list.
     """
     generators = []
-    for i, value in enumerate(x.gates):
-        if abs(value) <= _FACE_ATOL:
+    for i, sign in enumerate(_face_signs(np.array(x.gates))):
+        if sign:
             e = np.zeros(4)
-            e[i] = -1.0
-            generators.append(e)
-        elif abs(value - 1.0) <= _FACE_ATOL:
-            e = np.zeros(4)
-            e[i] = 1.0
+            e[i] = sign
             generators.append(e)
     return generators
 
@@ -87,28 +93,22 @@ def _sweep() -> Iterator[State]:
                 yield State(m, h, n, v)
 
 
-class _FixedSweep(NamedTuple):
-    """`_sweep()` with each point's normal cone, as arrays.
-
-    `boundary` indexes the B points whose cone is not empty, in sweep order;
-    row j of the (B, R, 4) `rays` holds boundary point j's generators,
-    zero-padded to the largest count R. Both arrays are read-only.
-    """
-
-    states: tuple[State, ...]
-    boundary: np.ndarray
-    rays: np.ndarray
-
-
-@functools.cache
-def _fixed_sweep() -> _FixedSweep:
-    states = tuple(_sweep())
-    cones = [normal_cone_generators(x) for x in states]
-    boundary = np.array([i for i, cone in enumerate(cones) if cone])
-    pad = [np.zeros(4)] * max(map(len, cones))
-    rays = np.array([cones[i] + pad[len(cones[i]):] for i in boundary])
-    boundary.flags.writeable = rays.flags.writeable = False
-    return _FixedSweep(states, boundary, rays)
+def _field_values(
+    field: Callable[[State], np.ndarray], points: list[State], shape: tuple
+) -> np.ndarray:
+    """`field` at each of `points`, stacked into one float array; a value of
+    any other shape than `shape` is rejected."""
+    values = [field(x) for x in points]
+    try:
+        stacked = np.array(values, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"field values must be float arrays of shape {shape}") from exc
+    if stacked.shape[1:] != shape:
+        raise ValueError(
+            f"field values must be float arrays of shape {shape}, "
+            f"got shape {stacked.shape[1:]}"
+        )
+    return stacked
 
 
 @dataclass(frozen=True)
@@ -148,36 +148,39 @@ def check_viability(
     field value counts as an infinite violation, so it fails the audit; for
     the drift that is any non-finite component, V included, as it is for the
     inner product <s, b>. Ties go to the point that comes first in the sweep.
+    A drift value that is not of shape (4,), or a diffusion value that is not
+    of shape (4, 3), raises ValueError.
     """
     drift_fn = drift_fn or (lambda x: kinetics.drift(x, params))
     diffusion_fn = diffusion_fn or (lambda x: kinetics.diffusion(x, params))
-    states, boundary, rays = _fixed_sweep()
+    states = list(_sweep())
+    signs = _face_signs(np.array([x.gates for x in states]))
+    boundary = np.flatnonzero(signs.any(axis=1))
+    # Point p's rays are the rows of rays[p]: row i is its generator on gate
+    # i's face, or zero where gate i is on no face.
+    rays = np.where(np.eye(3, 4, dtype=bool), signs[:, :, None], 0.0)
 
-    sigma = np.empty((len(states), 4, 3))
-    for i, x in enumerate(states):
-        sigma[i] = diffusion_fn(x)
-    b = np.empty((len(boundary), 4))
-    for row, i in enumerate(boundary):
-        b[row] = drift_fn(states[i])
+    sigma = _field_values(diffusion_fn, states, (4, 3))
+    b = _field_values(drift_fn, [states[i] for i in boundary], (4,))
 
     with np.errstate(invalid="ignore", over="ignore"):
-        # Drift: <s, b> per ray; padding rays never win the maximum.
-        sb = (rays @ b[:, :, None])[:, :, 0]
+        # Drift: <s, b> per ray; zero rows never win the maximum.
+        sb = (rays[boundary] @ b[:, :, None])[:, :, 0]
         sb[~np.isfinite(sb) | ~np.isfinite(b).all(axis=1)[:, None]] = math.inf
         drift_scale = float(np.abs(sb[np.isfinite(sb)]).max(initial=0.0))
-        sb[~rays.any(axis=2)] = -math.inf
+        sb[signs[boundary] == 0.0] = -math.inf
         worst = int(np.argmax(sb))
         max_drift = float(sb.flat[worst])
-        worst_drift_point = states[boundary[worst // sb.shape[1]]]
+        worst_drift_point = states[boundary[worst // 3]]
 
-        # Diffusion: the voltage row everywhere, <s, sigma> on the boundary.
+        # Diffusion: the voltage row and <s, sigma> at every point (zero rows,
+        # and so interior points, add nothing).
         magnitude = np.abs(sigma)
         peak = magnitude.max(axis=(1, 2))
         finite = np.isfinite(peak)
         diff_scale = float(peak[finite].max(initial=0.0))
-        diff = magnitude[:, 3, :].max(axis=1)
-        diff[boundary] = np.maximum(
-            diff[boundary], np.abs(rays @ sigma[boundary]).max(axis=(1, 2))
+        diff = np.maximum(
+            magnitude[:, 3, :].max(axis=1), np.abs(rays @ sigma).max(axis=(1, 2))
         )
         diff[~finite] = math.inf
         worst = int(np.argmax(diff))

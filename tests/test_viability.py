@@ -264,11 +264,20 @@ class TestCheckViability:
         assert report.worst_drift_point == x
         assert not report.passed
 
-    def test_sweep_is_built_once_per_process(self):
-        sweep = viability._fixed_sweep()
-        assert viability._fixed_sweep() is sweep
-        assert sweep.states == tuple(viability._sweep())
-        assert sweep.boundary.tolist() == list(range(4578))
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"diffusion_fn": lambda x: np.zeros(3)},
+            {"diffusion_fn": lambda x: np.zeros((4, 3)) if x.V < 0.0 else np.zeros(3)},
+            {"diffusion_fn": lambda x: np.zeros((1, 4, 3))},
+            {"drift_fn": lambda x: 0.0},
+            {"drift_fn": lambda x: np.zeros(3)},
+            {"drift_fn": lambda x: np.zeros((4, 1))},
+        ],
+    )
+    def test_malformed_field_values_rejected(self, classic_i10_noisy, fields):
+        with pytest.raises(ValueError, match="shape"):
+            check_viability(classic_i10_noisy, **fields)
 
     @settings(max_examples=20, deadline=None)
     @given(fields=_fields())
