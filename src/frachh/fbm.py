@@ -8,14 +8,14 @@ the j paths of a smaller draw with the same seed. `sample_driver` checks the
 arguments and takes the three gate components as the first three paths.
 
 * Cholesky: path i is L z_i scaled to the step T/N, L the lower triangular
-  factor of the unit-grid increment covariance C and z_i the i-th run of N
+  factor of the unit-grid increment covariance and z_i the i-th run of N
   normals. The factor is built in LAPACK's rectangular full packed (RFP)
   form, N(N+1)/2 doubles, straight from the autocovariance with no N x N
-  matrix, and factored in place (Gustavson, Wasniewski, Dongarra & Langou
-  2010). Its O(N^3) cost is paid once per (N, H). Each path then costs
-  O(N^2): L z is computed as C (L^T)^-1 z, one packed triangular solve and a
-  product with C by FFT of its 2N-point circulant embedding. The solves run
-  one path at a time, because BLAS may round a column of a multi-column solve
+  matrix, factored in place (Gustavson, Wasniewski, Dongarra & Langou 2010)
+  and then rewritten in lower packed (TP) order in the same buffer. Its
+  O(N^3) cost is paid once per (N, H). Each path then costs O(N^2): one
+  packed triangular product L z (BLAS `dtpmv`). The products run one path
+  at a time, because BLAS may round a column of a multi-column product
   differently with the number of columns.
 * Wood-Chan: circulant embedding of the stationary increment process
   (fractional Gaussian noise) diagonalized by the FFT; exact in distribution
@@ -38,13 +38,15 @@ MiB, four factors at N = 1000), and the newest is always kept, so a factor
 larger than the cap is held alone.
 
 Both generators are deterministic functions of (N, T, H, seed). Bit-identical
-output across platforms is not promised, since both use the FFT; statistical
-properties are. Version 0.3.0 changed the Cholesky stream (one run of normals
-a path from the master seed, in place of three spawned component seeds); the
-Wood-Chan normals are those of 0.2.0, and its paths differ only by rounding,
-since the increments are no longer differences of cumulative sums. Version
-0.4.0 changed the Cholesky paths at rounding level (the packed factor of the
-unit grid, applied as C (L^T)^-1 z); the Wood-Chan paths are those of 0.3.0.
+output across platforms is not promised, since Wood-Chan uses the FFT and
+Cholesky LAPACK and BLAS; statistical properties are. Version 0.3.0 changed
+the Cholesky stream (one run of normals a path from the master seed, in place
+of three spawned component seeds); the Wood-Chan normals are those of 0.2.0,
+and its paths differ only by rounding, since the increments are no longer
+differences of cumulative sums. Version 0.4.0 changed the Cholesky paths at
+rounding level (the packed factor of the unit grid, applied as C (L^T)^-1 z),
+and 0.5.0 changed them again at rounding level (the same factor applied as
+L z); the Wood-Chan paths are those of 0.3.0.
 
 Only the Cholesky generator needs scipy, so `scipy.linalg` is imported the
 first time a factor is built or applied, not when this module loads. The
@@ -52,7 +54,7 @@ import takes about 0.13 s and 28 MB, which a Wood-Chan run, the default, would
 pay in every fresh process without using it. The module attribute `fbm.scipy`
 imports it on first access (PEP 562), and the Cholesky code reaches scipy
 through that name at call time, so replacing `fbm.scipy` or its `linalg`
-LAPACK wrappers reaches every factorization.
+LAPACK and BLAS wrappers reaches every factorization and every product.
 """
 
 from __future__ import annotations
@@ -234,7 +236,9 @@ def _toeplitz_rfp(gamma: np.ndarray) -> np.ndarray:
     k = (N + 1) // 2
     f = np.concatenate([gamma[::-1], gamma])
     windows = np.lib.stride_tricks.sliding_window_view(f, N + e)
-    return windows[N - e : N - e - k : -1].ravel()
+    # `flatten`, not `ravel`: for N <= 2 the slice is one window, which
+    # `ravel` would return as a read-only view instead of a copy.
+    return windows[N - e : N - e - k : -1].flatten()
 
 
 def _toeplitz_cholesky(gamma: np.ndarray) -> np.ndarray:
@@ -252,12 +256,41 @@ def _toeplitz_cholesky(gamma: np.ndarray) -> np.ndarray:
     return factor
 
 
+def _rfp_to_packed(a: np.ndarray, N: int) -> np.ndarray:
+    """Rewrite the RFP lower triangle `a` of order N (transr="N", uplo="L") in
+    place into lower packed (TP) order, columns of the triangle one after
+    another, as LAPACK's `dtfttp` would into a second array; returns `a`.
+
+    Viewed as a C-order (k, N+e) array R, k = (N+1)//2 and e = 1 if N is even,
+    column c < k of the triangle is R[c, c+e : N+e], and column k+j of the
+    trailing triangle of order m = N-k is R[j+1-e : k, j]. The leading
+    columns only move toward the front, so only the trailing triangle,
+    m(m+1)/2 doubles, is copied out first.
+    """
+    e = 1 - N % 2
+    k = (N + 1) // 2
+    m = N - k
+    rfp = a.reshape(k, N + e)
+    trailing = np.empty(m * (m + 1) // 2)
+    start = 0
+    for j in range(m):
+        trailing[start : start + m - j] = rfp[j + 1 - e : k, j]
+        start += m - j
+    start = 0
+    for c in range(k):
+        a[start : start + N - c] = rfp[c, c + e :]
+        start += N - c
+    a[start:] = trailing
+    return a
+
+
 def _unit_factor(N: int, H: float) -> np.ndarray:
-    """Read-only RFP Cholesky factor of the unit-grid fGn covariance
-    gamma(|i-j|), memoized per (N, H)."""
+    """Read-only lower packed (TP) Cholesky factor of the unit-grid fGn
+    covariance gamma(|i-j|), memoized per (N, H): factored in RFP form, then
+    rewritten in TP order in the same buffer, N(N+1)/2 doubles."""
     return _memoized(
         (GENERATOR_CHOLESKY, N, H),
-        lambda: _toeplitz_cholesky(fgn_autocovariance(np.arange(N), H)),
+        lambda: _rfp_to_packed(_toeplitz_cholesky(fgn_autocovariance(np.arange(N), H)), N),
     )
 
 
@@ -265,26 +298,16 @@ def _cholesky_increments(N: int, T: float, H: float, seed, n_paths: int) -> np.n
     """(n_paths, N) increment paths, path i `L z_i` scaled to the step T/N, L
     the unit-grid factor and z_i the i-th run of N normals.
 
-    `L z` is computed as `C (L^T)^-1 z`, equal in exact arithmetic, for C = L
-    L^T the Toeplitz covariance: one triangular solve on the packed factor per
-    path (one at a time, for the prefix property), then C's product as a
-    2N-point circulant by real FFT, as many paths a call as fit in
-    `_BATCH_BYTES` (at least one).
+    Each path is one packed triangular product (`dtpmv`) in place of its row,
+    one path at a time: BLAS may round a column of a multi-column product
+    differently with the number of columns, and the first j paths must be
+    the j-path draw.
     """
-    tfsm = _linalg().lapack.dtfsm
+    tpmv = _linalg().blas.dtpmv
     factor = _unit_factor(N, H)
-    gamma = fgn_autocovariance(np.arange(N), H)
-    circulant = np.fft.rfft(np.concatenate([gamma, [0.0], gamma[:0:-1]]))
     out = np.random.default_rng(seed).standard_normal((n_paths, N))
-    batch = max(1, _BATCH_BYTES // (16 * (N + 1)))
-    for start in range(0, n_paths, batch):
-        block = out[start : start + batch]
-        for row in block:
-            row[:] = tfsm(1.0, factor, row[:, None], transr="N", uplo="L", trans="T",
-                          overwrite_b=1)[:, 0]
-        spectrum = np.fft.rfft(block, 2 * N)
-        spectrum *= circulant
-        block[:] = np.fft.irfft(spectrum, 2 * N)[:, :N]
+    for row in out:
+        tpmv(N, factor, row, lower=1, overwrite_x=1)
     out *= (T / N) ** H
     return out
 

@@ -160,6 +160,11 @@ def require_in_domain(x: State) -> None:
 def ionic_current(x: State, params: HHParams) -> float:
     """Total ionic current gNa m^3 h (V - ENa) + gK n^4 (V - EK) + gL (V - EL)."""
     _require_finite(x)
+    return _ionic_current(x, params)
+
+
+def _ionic_current(x: State, params: HHParams) -> float:
+    """`ionic_current` of a state already checked finite."""
     return (
         params.gbar_Na * x.m ** 3 * x.h * (x.V - params.E_Na)
         + params.gbar_K * x.n ** 4 * (x.V - params.E_K)
@@ -177,7 +182,7 @@ def drift(x: State, params: HHParams) -> np.ndarray:
     """
     _require_finite(x)
     am, bm, ah, bh, an, bn = rates(x.V)
-    fv = (params.current_I - ionic_current(x, params)) / params.capacitance_C
+    fv = (params.current_I - _ionic_current(x, params)) / params.capacitance_C
     return np.array(
         [
             am * (1.0 - x.m) - bm * x.m,

@@ -7,6 +7,7 @@ deterministic test outcomes, not flaky statistics.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -119,11 +120,34 @@ class TestCholesky:
         assert rfp.shape == (n_grid * (n_grid + 1) // 2,)
         assert rfp.tobytes() == packed.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(n_grid=st.integers(1, 300))
+    def test_packed_conversion_bit_equal_to_dtfttp(self, n_grid):
+        # Distinct entries, so that any misplaced one shows.
+        lower = np.arange(1.0, n_grid * n_grid + 1.0).reshape(n_grid, n_grid)
+        rfp, info = scipy.linalg.lapack.dtrttf(lower, uplo="L")
+        assert info == 0
+        expected, info = scipy.linalg.lapack.dtfttp(n_grid, rfp, uplo="L")
+        assert info == 0
+        assert fbm._rfp_to_packed(rfp, n_grid) is rfp
+        assert rfp.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_grid", [1000, 1001])
+    def test_packed_conversion_allocates_no_second_factor(self, n_grid):
+        rfp = np.arange(n_grid * (n_grid + 1) // 2, dtype=float)
+        tracemalloc.start()
+        try:
+            fbm._rfp_to_packed(rfp, n_grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rfp.nbytes / 3
+
     @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
     @pytest.mark.parametrize("n_grid", [1, 2, 3, 64, 257, 1000])
     def test_paths_match_full_factor_product(self, n_grid, hurst):
-        # T = N is the unit grid; C (L^T)^-1 z against L z with L the full
-        # lower factor of the Toeplitz covariance.
+        # T = N is the unit grid; the packed product against L z with L the
+        # full lower factor of the Toeplitz covariance.
         gamma = fgn_autocovariance(np.arange(n_grid), hurst)
         factor = scipy.linalg.cholesky(scipy.linalg.toeplitz(gamma), lower=True)
         z = np.random.default_rng(5).standard_normal((3, n_grid))
@@ -173,11 +197,14 @@ class TestSpectralMemo:
     )
     def test_factor_bit_identical_to_scaled_toeplitz(self, cold_memo, n_grid, horizon, hurst):
         # The covariance at step delta is delta^2H times the unit-grid
-        # Toeplitz matrix: its factor is LAPACK's packed factor of the unit
-        # matrix, and its paths are the unit-grid paths times delta^H.
+        # Toeplitz matrix: its factor is LAPACK's RFP factor of the unit
+        # matrix in lower packed order, and its paths are the unit-grid paths
+        # times delta^H.
         gamma = fgn_autocovariance(np.arange(n_grid), hurst)
-        packed, _ = scipy.linalg.lapack.dtrttf(scipy.linalg.toeplitz(gamma), uplo="L")
-        reference, info = scipy.linalg.lapack.dpftrf(n_grid, packed, uplo="L")
+        rfp, _ = scipy.linalg.lapack.dtrttf(scipy.linalg.toeplitz(gamma), uplo="L")
+        factor, info = scipy.linalg.lapack.dpftrf(n_grid, rfp, uplo="L")
+        assert info == 0
+        reference, info = scipy.linalg.lapack.dtfttp(n_grid, factor, uplo="L")
         assert info == 0
         assert fbm._unit_factor(n_grid, hurst).tobytes() == reference.tobytes()
         unit = CHOLESKY(n_grid, float(n_grid), hurst, 3, 2)

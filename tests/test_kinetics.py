@@ -118,6 +118,36 @@ class TestDrift:
         with pytest.raises(ValueError):
             drift(State(0.5, 0.5, 0.5, math.nan), classic_i10)
 
+    @pytest.mark.parametrize("field", [drift, ionic_current])
+    def test_any_nonfinite_coordinate_rejected(self, classic_i10, field):
+        for coord in range(4):
+            for bad in (math.nan, math.inf, -math.inf):
+                values = [0.5, 0.5, 0.5, 10.0]
+                values[coord] = bad
+                with pytest.raises(ValueError, match="state must be finite"):
+                    field(State(*values), classic_i10)
+
+    def test_one_finiteness_check_per_call(self, classic_i10, monkeypatch):
+        calls = []
+        original = State.is_finite
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(State, "is_finite", counted)
+        states = [equilibrium(v) for v in (-20.0, 0.0, 35.0)]
+        for x in states:
+            drift(x, classic_i10)
+        assert calls == states
+
+    def test_voltage_component_is_scaled_ionic_current(self, classic_i10):
+        for v in (-20.0, 0.0, 35.0, 110.0):
+            x = State(0.3, 0.6, 0.4, v)
+            expected = ((classic_i10.current_I - ionic_current(x, classic_i10))
+                        / classic_i10.capacitance_C)
+            assert drift(x, classic_i10)[3] == expected
+
 
 class TestDiffusion:
     def test_zero_on_gate_corners(self):
