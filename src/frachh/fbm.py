@@ -77,6 +77,9 @@ _EIG_CLIP_REL = 1e-9
 # one path). A path at N = 5000 (M = 8192) takes 128 KiB, one of the 1000 ms
 # run (M = 2^17) 2 MiB.
 _BATCH_BYTES = 1 << 20
+# Autocovariances `_circulant_eigenvalues` evaluates at a time, so that their
+# temporaries stay small beside the 2M-point complex buffer they fill.
+_EIG_CHUNK = 1 << 15
 # Rows per formatted block of a CSV file.
 _CSV_BLOCK = 4096
 
@@ -319,10 +322,18 @@ def _cholesky_increments(N: int, T: float, H: float, seed, n_paths: int) -> np.n
 
 def _circulant_eigenvalues(M: int, H: float) -> np.ndarray:
     """Eigenvalues of the 2M circulant embedding of the fGn covariance: the FFT
-    of the symmetric first row [gamma(0..M), gamma(M-1..1)]."""
-    gamma = fgn_autocovariance(np.arange(M + 1), H)
-    row = np.concatenate([gamma, gamma[M - 1:0:-1]])
-    return np.fft.fft(row).real
+    of the symmetric first row [gamma(0..M), gamma(M-1..1)].
+
+    The row is written into one complex buffer of 2M points, `_EIG_CHUNK`
+    autocovariances at a time, and transformed in place; the eigenvalues are
+    returned as a writable view of its real part."""
+    row = np.zeros(2 * M, dtype=complex)
+    re = row.real
+    for lo in range(0, M + 1, _EIG_CHUNK):
+        hi = min(lo + _EIG_CHUNK, M + 1)
+        re[lo:hi] = fgn_autocovariance(np.arange(lo, hi), H)
+    re[M + 1:] = re[M - 1:0:-1]
+    return np.fft.fft(row, out=row).real
 
 
 def _embedding_eigenvalues(N: int, H: float) -> np.ndarray:
@@ -336,7 +347,7 @@ def _embedding_eigenvalues(N: int, H: float) -> np.ndarray:
             f"circulant embedding of fGn is indefinite at N={N}, H={H} "
             f"(most negative eigenvalue {lam_min:.6g})"
         )
-    return np.clip(lam, 0.0, None)
+    return np.clip(lam, 0.0, None, out=lam)
 
 
 def _fgn_scale(N: int, H: float) -> np.ndarray:
@@ -350,10 +361,10 @@ def _fgn_scale(N: int, H: float) -> np.ndarray:
         # run peaked ~3 MB higher with it allocated last.
         m = 1 << max(0, N - 1).bit_length()
         scale = np.empty(2 * (m + 1))
-        lam = _embedding_eigenvalues(N, H)
-        weight = np.full(m + 1, float(m))
-        weight[[0, m]] = 2.0 * m
-        scale[0::2] = np.sqrt(weight * lam[: m + 1])
+        wlam = _embedding_eigenvalues(N, H)[: m + 1]
+        wlam[1:m] *= float(m)
+        wlam[[0, m]] *= 2.0 * m
+        np.sqrt(wlam, out=scale[0::2])
         scale[1::2] = scale[0::2]
         scale[[1, -1]] = 0.0
         return scale

@@ -27,11 +27,20 @@ The loop evaluates the gate rates inline. Where V lies on
 the loop writes out its six closed forms with the same expressions in the
 same order, so every bit matches. Anywhere else, at the series points, where
 an exponential would saturate, or on a non-finite V, it calls `rates`,
-looked up as this module's global at call time. The trajectory is appended
-to a flat `array("d")` and handed out as an (n_steps + 1, 4) numpy view of
-it, without a copy. The loop runs in blocks of `_BLOCK_STEPS` steps, and the
-driver increments become Python floats one block at a time, so the loop
-holds no whole-run lists of them.
+looked up as this module's global at call time.
+
+The loop runs in blocks of `_BLOCK_STEPS` (1024) steps, and the driver
+increments become Python floats one block at a time, so the loop holds no
+whole-run lists of them. Each step's new state is one tuple, added to the
+block's list of rows; at the end of the block the rows move into a flat
+`array("d")` in one `fromlist` call, and the trajectory is handed out as an
+(n_steps + 1, 4) numpy view of that array, without a copy. The row list
+keeps a block's floats alive until then, which is why blocks are not
+longer: at 4096 steps they raised a bifurcation sweep's peak memory by
+~0.5 MB. A step diverges when one `isfinite` test of the sum of its four new
+coordinates fails: each clamped gate lies in [0,1] or is NaN, and adding at
+most 3 to a finite V cannot overflow, so the sum is finite exactly when all
+four coordinates are.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ from .kinetics import _EXP_MAX, _SERIES_GAP, HHParams, State, rates, require_in_
 _FAST_V_MIN = 30.0 - 10.0 * _EXP_MAX
 _FAST_V_MAX = sys.float_info.max
 # Steps per block of `_integrate`'s loop.
-_BLOCK_STEPS = 4096
+_BLOCK_STEPS = 1024
 
 
 class DivergenceError(RuntimeError):
@@ -163,12 +172,12 @@ def _integrate(
     g_na, g_k, g_l = params.gbar_Na, params.gbar_K, params.gbar_L
     e_na, e_k, e_l = params.E_Na, params.E_K, params.E_L
     s1, s2, s3 = params.sigmas
-    exp, expm1 = math.exp, math.expm1
+    exp, expm1, isfinite = math.exp, math.expm1, math.isfinite
     v_min, v_max, gap = _FAST_V_MIN, _FAST_V_MAX, _SERIES_GAP
 
     m, h, n, v = x0.m, x0.h, x0.n, x0.V
     buf = array("d", (m, h, n, v))
-    push = buf.append
+    rows: list[float] = []
     events: list[ClampEvent] = []
 
     for lo in range(0, n_steps, _BLOCK_STEPS):
@@ -180,7 +189,8 @@ def _integrate(
             # none of its branches fires; anywhere else it is called.
             xm = 25.0 - v
             xn = 10.0 - v
-            if v_min <= v <= v_max and abs(xm) >= gap and abs(xn) >= gap:
+            if (v_min <= v <= v_max and (xm >= gap or xm <= -gap)
+                    and (xn >= gap or xn <= -gap)):
                 am = 0.1 * (xm / expm1(0.1 * xm))
                 bm = 4.0 * exp(-v / 18.0)
                 ah = 0.07 * exp(-v / 20.0)
@@ -213,19 +223,15 @@ def _integrate(
                 events.append(ClampEvent(step=lo + i, coord="n", pre_value=new_n))
                 new_n = min(1.0, max(0.0, new_n))
 
-            if not (
-                math.isfinite(new_v)
-                and math.isfinite(new_m)
-                and math.isfinite(new_h)
-                and math.isfinite(new_n)
-            ):
+            # Finite exactly when all four are (see the module docstring).
+            if not isfinite(new_v + new_m + new_h + new_n):
                 raise DivergenceError(step=lo + i)
 
-            m, h, n, v = new_m, new_h, new_n, new_v
-            push(m)
-            push(h)
-            push(n)
-            push(v)
+            state = new_m, new_h, new_n, new_v
+            rows += state
+            m, h, n, v = state
+        buf.fromlist(rows)
+        rows.clear()
 
     return np.frombuffer(buf).reshape(n_steps + 1, 4), events
 

@@ -310,6 +310,33 @@ class TestSpectralMemo:
         assert scale.tolist() == [math.sqrt(2.0), 0.0, 0.0, 0.0]
         assert cold_memo[("wood_chan", 1, 0.75)] is scale
 
+    @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
+    def test_scale_bit_identical_to_concatenated_build(self, monkeypatch, hurst):
+        # The build fills one complex buffer in chunks, transforms it in place
+        # and clips and weighs the eigenvalues in place; the reference
+        # concatenates the row and copies at every stage.
+        monkeypatch.setattr(fbm, "_spectral_memo", {})
+        for n_grid in (1, 2, 3, 5000, 100000):
+            m = 1 << max(0, n_grid - 1).bit_length()
+            tracemalloc.start()
+            try:
+                scale = fbm._fgn_scale(n_grid, hurst)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            gamma = fgn_autocovariance(np.arange(m + 1), hurst)
+            lam = np.clip(np.fft.fft(np.concatenate([gamma, gamma[m - 1:0:-1]])).real,
+                          0.0, None)
+            weight = np.full(m + 1, float(m))
+            weight[[0, m]] = 2.0 * m
+            expected = np.empty(2 * (m + 1))
+            expected[0::2] = expected[1::2] = np.sqrt(weight * lam[: m + 1])
+            expected[[1, -1]] = 0.0
+            assert scale.tobytes() == expected.tobytes(), n_grid
+        # The cold build at N = 100000 holds the complex buffer of 2M points
+        # (32 M bytes) and the kept scales, but no copy of either.
+        assert peak < 2 * 32 * m
+
     def test_wood_chan_keeps_a_spectrum_per_key(self, cold_memo, monkeypatch):
         calls = _count_calls(monkeypatch, fbm, "_circulant_eigenvalues")
         for hurst in (0.7, 0.8, 0.7):

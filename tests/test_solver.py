@@ -128,10 +128,10 @@ class TestStepEuler:
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
-def _reference_step(x, params, dt):
-    """One noise-free step from `x` on `kinetics.rates`, in the loop's
-    expression order: (new row, or None where the loop must diverge; clamp
-    events)."""
+def _reference_step(x, params, dt, dB=None, step=0):
+    """One step from `x` on `kinetics.rates`, in the loop's expression order,
+    noise-free or with the driver increments `dB`: (new row, or None where
+    the loop must diverge; clamp events, logged at index `step`)."""
     am, bm, ah, bh, an, bn = kinetics.rates(x.V)
     m, h, n, v = x.m, x.h, x.n, x.V
     new = [
@@ -144,13 +144,29 @@ def _reference_step(x, params, dt):
         + params.gbar_K * n * n * n * n * (v - params.E_K)
         + params.gbar_L * (v - params.E_L)
     )
+    if dB is not None:
+        for i, (sigma, gate, db) in enumerate(zip(params.sigmas, (m, h, n), dB)):
+            new[i] += sigma * gate * (1.0 - gate) * db
     events = []
     for i, coord in enumerate("mhn"):
         if new[i] < 0.0 or new[i] > 1.0:
-            events.append(ClampEvent(step=0, coord=coord, pre_value=new[i]))
+            events.append(ClampEvent(step=step, coord=coord, pre_value=new[i]))
             new[i] = min(1.0, max(0.0, new[i]))
     new.append(v + (params.current_I - ion) / params.capacitance_C * dt)
     return (new if all(map(math.isfinite, new)) else None), events
+
+
+def _reference_run(x0, params, dt, increments):
+    """`_reference_step` once per row of `increments`: (trajectory rows, clamp
+    events, 0-based step of the divergence or None)."""
+    rows, events = [x0.as_array().tolist()], []
+    for step, dB in enumerate(increments.tolist()):
+        new, new_events = _reference_step(State(*rows[-1]), params, dt, dB, step)
+        events += new_events
+        if new is None:
+            return rows, events, step
+        rows.append(new)
+    return rows, events, None
 
 
 def _ulp_neighbours(*voltages):
@@ -348,6 +364,39 @@ class TestBlocks:
             assert events == ref_events
         steps = {ev.step for ev in runs[0][1]}
         assert min(steps) < self.BLOCK - 1 and max(steps) >= n - 64
+
+    def test_noisy_run_is_reference_bit_for_bit(self, eq0, clamp_heavy):
+        params, increments = clamp_heavy
+        rows, ref_events, diverged = _reference_run(eq0, params, 0.01, increments)
+        assert diverged is None
+        traj, events = _integrate(eq0, params, 0.01, len(increments), increments)
+        assert traj.tobytes() == np.array(rows).tobytes()
+        assert events == ref_events
+        assert len(events) > 100
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        step=st.integers(0, 2 * BLOCK),
+        coord=st.integers(0, 2),
+        value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    @example(step=BLOCK, coord=0, value=math.nan)
+    @example(step=BLOCK - 1, coord=1, value=math.inf)
+    def test_non_finite_increment_is_reference(self, eq0, clamp_heavy, step, coord, value):
+        # NaN makes its gate NaN; an infinity is clamped onto the boundary,
+        # unless the gate sits on it already, where 0 * inf is NaN.
+        params, increments = clamp_heavy
+        bad = increments.copy()
+        bad[step, coord] = value
+        rows, ref_events, diverged = _reference_run(eq0, params, 0.01, bad)
+        if diverged is not None:
+            with pytest.raises(DivergenceError) as err:
+                _integrate(eq0, params, 0.01, len(bad), bad)
+            assert err.value.step == diverged
+            return
+        traj, events = _integrate(eq0, params, 0.01, len(bad), bad)
+        assert traj.tobytes() == np.array(rows).tobytes()
+        assert events == ref_events
 
     def test_divergence_step_is_global(self, eq0, clamp_heavy):
         params, increments = clamp_heavy
