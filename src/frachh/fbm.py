@@ -9,13 +9,12 @@ arguments and takes the three gate components as the first three paths.
 
 * Cholesky: path i is L z_i scaled to the step T/N, L the lower triangular
   factor of the unit-grid increment covariance and z_i the i-th run of N
-  normals. The factor is built in LAPACK's rectangular full packed (RFP)
-  form, N(N+1)/2 doubles, straight from the autocovariance with no N x N
-  matrix, factored in place (Gustavson, Wasniewski, Dongarra & Langou 2010)
-  and then rewritten in lower packed (TP) order in the same buffer. Its
-  O(N^3) cost is paid once per (N, H). Each path then costs O(N^2): one
-  packed triangular product L z (BLAS `dtpmv`). The products run one path
-  at a time, because BLAS may round a column of a multi-column product
+  normals. The covariance is Toeplitz, so the Schur algorithm builds L
+  straight from the autocovariance, one column per O(N) step, in lower
+  packed (TP) order: N(N+1)/2 doubles, no N x N matrix and no second copy.
+  Its O(N^2) cost is paid once per (N, H). Each path then costs O(N^2) too:
+  one packed triangular product L z (BLAS `dtpmv`). The products run one
+  path at a time, because BLAS may round a column of a multi-column product
   differently with the number of columns.
 * Wood-Chan: circulant embedding of the stationary increment process
   (fractional Gaussian noise) diagonalized by the FFT; exact in distribution
@@ -39,22 +38,22 @@ larger than the cap is held alone.
 
 Both generators are deterministic functions of (N, T, H, seed). Bit-identical
 output across platforms is not promised, since Wood-Chan uses the FFT and
-Cholesky LAPACK and BLAS; statistical properties are. Version 0.3.0 changed
-the Cholesky stream (one run of normals a path from the master seed, in place
-of three spawned component seeds); the Wood-Chan normals are those of 0.2.0,
+Cholesky BLAS; statistical properties are. Version 0.3.0 changed the
+Cholesky stream (one run of normals a path from the master seed, in place of
+three spawned component seeds); the Wood-Chan normals are those of 0.2.0,
 and its paths differ only by rounding, since the increments are no longer
-differences of cumulative sums. Version 0.4.0 changed the Cholesky paths at
-rounding level (the packed factor of the unit grid, applied as C (L^T)^-1 z),
-and 0.5.0 changed them again at rounding level (the same factor applied as
-L z); the Wood-Chan paths are those of 0.3.0.
+differences of cumulative sums. Versions 0.4.0 (the packed factor of the
+unit grid, applied as C (L^T)^-1 z), 0.5.0 (the same factor, LAPACK's, applied
+as L z) and 0.6.0 (the factor built by the Schur algorithm) each changed the
+Cholesky paths at rounding level; the Wood-Chan paths are those of 0.3.0.
 
-Only the Cholesky generator needs scipy, so `scipy.linalg` is imported the
-first time a factor is built or applied, not when this module loads. The
+Only the Cholesky generator needs scipy, for `dtpmv`, so `scipy.linalg` is
+imported the first time a factor is applied, not when this module loads. The
 import takes about 0.13 s and 28 MB, which a Wood-Chan run, the default, would
 pay in every fresh process without using it. The module attribute `fbm.scipy`
 imports it on first access (PEP 562), and the Cholesky code reaches scipy
-through that name at call time, so replacing `fbm.scipy` or its `linalg`
-LAPACK and BLAS wrappers reaches every factorization and every product.
+through that name at call time, so replacing `fbm.scipy` or its BLAS
+wrappers reaches every product.
 """
 
 from __future__ import annotations
@@ -226,74 +225,63 @@ def _check_grid_args(N: int, T: float) -> tuple[int, float]:
     return N, T
 
 
-def _toeplitz_rfp(gamma: np.ndarray) -> np.ndarray:
-    """Lower triangle of the symmetric Toeplitz matrix with first column
-    `gamma`, as one fresh array in rectangular full packed form (LAPACK RFP,
-    transr="N", uplo="L"): N(N+1)/2 doubles, with no N x N matrix built.
+def _toeplitz_cholesky(gamma: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric Toeplitz matrix with first column
+    `gamma`, in lower packed (TP) order: its columns one after another,
+    N(N+1)/2 doubles, with no N x N matrix built.
 
-    Viewed as a C-order (k, N+e) array, k = (N+1)//2 and e = 1 if N is even,
-    row j is f[N-e-j : 2N-j] of f = [gamma reversed, gamma].
+    The Schur algorithm in its mixed form (Kailath & Sayed 1995; stable for
+    a positive definite Toeplitz matrix, Bojanczyk, Brent, de Hoog & Sweet
+    1995) turns the generator pair (u, v) into one column per step in O(N):
+    u is written as the column, v loses its first entry and u its last, and
+    the rotation by rho = v[0] / u[0], s = sqrt((1 - rho)(1 + rho)), takes
+    u to (u - rho v) / s and then v to s v - rho u. A pivot is bad unless
+    0 < gamma[0] < inf (index 0) and |rho| < 1 (index k + 1 at step k). A
+    NaN or infinite entry reaches some rho, so it is a bad pivot too, and
+    the arithmetic on the way there raises no numpy warning.
     """
     N = gamma.size
-    e = 1 - N % 2
-    k = (N + 1) // 2
-    f = np.concatenate([gamma[::-1], gamma])
-    windows = np.lib.stride_tricks.sliding_window_view(f, N + e)
-    # `flatten`, not `ravel`: for N <= 2 the slice is one window, which
-    # `ravel` would return as a read-only view instead of a copy.
-    return windows[N - e : N - e - k : -1].flatten()
-
-
-def _toeplitz_cholesky(gamma: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, in RFP form, of the symmetric Toeplitz matrix
-    with first column `gamma`; factored in place of `_toeplitz_rfp(gamma)`."""
-    factor, info = _linalg().lapack.dpftrf(
-        gamma.size, _toeplitz_rfp(gamma), transr="N", uplo="L", overwrite_a=1
-    )
-    if info > 0:
-        raise FactorizationError(
-            f"increment covariance is not numerically positive definite "
-            f"(offending pivot index {info - 1})",
-            pivot_index=info - 1,
-        )
+    if not 0.0 < gamma[0] < math.inf:
+        raise _pivot_error(0)
+    u = gamma / math.sqrt(gamma[0])
+    v = u.copy()
+    v[0] = 0.0
+    factor = np.empty(N * (N + 1) // 2)
+    start = 0
+    with np.errstate(all="ignore"):
+        for k in range(N):
+            n = N - k
+            factor[start : start + n] = u[:n]
+            start += n
+            if n == 1:
+                break
+            uk, vk = u[: n - 1], v[k + 1 :]
+            rho = float(vk[0] / uk[0])
+            if not abs(rho) < 1.0:
+                raise _pivot_error(k + 1)
+            s = math.sqrt((1.0 - rho) * (1.0 + rho))
+            uk -= rho * vk
+            uk /= s
+            vk *= s
+            vk -= rho * uk
     return factor
 
 
-def _rfp_to_packed(a: np.ndarray, N: int) -> np.ndarray:
-    """Rewrite the RFP lower triangle `a` of order N (transr="N", uplo="L") in
-    place into lower packed (TP) order, columns of the triangle one after
-    another, as LAPACK's `dtfttp` would into a second array; returns `a`.
-
-    Viewed as a C-order (k, N+e) array R, k = (N+1)//2 and e = 1 if N is even,
-    column c < k of the triangle is R[c, c+e : N+e], and column k+j of the
-    trailing triangle of order m = N-k is R[j+1-e : k, j]. The leading
-    columns only move toward the front, so only the trailing triangle,
-    m(m+1)/2 doubles, is copied out first.
-    """
-    e = 1 - N % 2
-    k = (N + 1) // 2
-    m = N - k
-    rfp = a.reshape(k, N + e)
-    trailing = np.empty(m * (m + 1) // 2)
-    start = 0
-    for j in range(m):
-        trailing[start : start + m - j] = rfp[j + 1 - e : k, j]
-        start += m - j
-    start = 0
-    for c in range(k):
-        a[start : start + N - c] = rfp[c, c + e :]
-        start += N - c
-    a[start:] = trailing
-    return a
+def _pivot_error(index: int) -> FactorizationError:
+    return FactorizationError(
+        f"increment covariance is not numerically positive definite "
+        f"(offending pivot index {index})",
+        pivot_index=index,
+    )
 
 
 def _unit_factor(N: int, H: float) -> np.ndarray:
     """Read-only lower packed (TP) Cholesky factor of the unit-grid fGn
-    covariance gamma(|i-j|), memoized per (N, H): factored in RFP form, then
-    rewritten in TP order in the same buffer, N(N+1)/2 doubles."""
+    covariance gamma(|i-j|), memoized per (N, H): built column by column by
+    the Schur algorithm, N(N+1)/2 doubles."""
     return _memoized(
         (GENERATOR_CHOLESKY, N, H),
-        lambda: _rfp_to_packed(_toeplitz_cholesky(fgn_autocovariance(np.arange(N), H)), N),
+        lambda: _toeplitz_cholesky(fgn_autocovariance(np.arange(N), H)),
     )
 
 

@@ -124,14 +124,6 @@ class State:
     n: float
     V: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.m, self.h, self.n, self.V], dtype=float)
-
-    @classmethod
-    def from_array(cls, x: np.ndarray) -> "State":
-        m, h, n, v = (float(c) for c in x)
-        return cls(m, h, n, v)
-
     @property
     def gates(self) -> tuple[float, float, float]:
         return (self.m, self.h, self.n)
@@ -160,11 +152,6 @@ def require_in_domain(x: State) -> None:
 def ionic_current(x: State, params: HHParams) -> float:
     """Total ionic current gNa m^3 h (V - ENa) + gK n^4 (V - EK) + gL (V - EL)."""
     _require_finite(x)
-    return _ionic_current(x, params)
-
-
-def _ionic_current(x: State, params: HHParams) -> float:
-    """`ionic_current` of a state already checked finite."""
     return (
         params.gbar_Na * x.m ** 3 * x.h * (x.V - params.E_Na)
         + params.gbar_K * x.n ** 4 * (x.V - params.E_K)
@@ -178,11 +165,11 @@ def drift(x: State, params: HHParams) -> np.ndarray:
     Gate components are alpha_x(V)(1 - x) - beta_x(V) x; the voltage component
     is (I - I_ion) / C. On each face x_i in {0, 1} the i-th gate component
     points into the unit cube (alpha >= 0 at 0, -beta <= 0 at 1), which is what
-    keeps the gate proportions viable.
+    keeps the gate proportions viable. The voltage component comes first,
+    through `ionic_current`, whose check rejects a non-finite state.
     """
-    _require_finite(x)
+    fv = (params.current_I - ionic_current(x, params)) / params.capacitance_C
     am, bm, ah, bh, an, bn = rates(x.V)
-    fv = (params.current_I - _ionic_current(x, params)) / params.capacitance_C
     return np.array(
         [
             am * (1.0 - x.m) - bm * x.m,

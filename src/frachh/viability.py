@@ -49,28 +49,17 @@ _VIOLATION_RTOL = 1e-12
 
 def _face_signs(gates: np.ndarray) -> np.ndarray:
     """-1 where a gate coordinate lies on its 0 face, +1 where it lies on its
-    1 face, 0 elsewhere; the last axis of `gates` is (m, h, n)."""
+    1 face, 0 elsewhere; the last axis of `gates` is (m, h, n).
+
+    The normal cone to [0,1]^3 x R at a point is generated by sign_i e_i over
+    its nonzero signs; the voltage direction never contributes (K is all of
+    R there), and an interior point has no generator.
+    """
     return np.where(
         np.abs(gates) <= _FACE_ATOL,
         -1.0,
         np.where(np.abs(gates - 1.0) <= _FACE_ATOL, 1.0, 0.0),
     )
-
-
-def normal_cone_generators(x: State) -> list[np.ndarray]:
-    """Extreme rays of the normal cone to [0,1]^3 x R at `x`.
-
-    One signed basis vector per active gate face: -e_i where x_i = 0, +e_i
-    where x_i = 1. The voltage direction never contributes (K is all of R
-    there). Interior points get an empty list.
-    """
-    generators = []
-    for i, sign in enumerate(_face_signs(np.array(x.gates))):
-        if sign:
-            e = np.zeros(4)
-            e[i] = sign
-            generators.append(e)
-    return generators
 
 
 # The sweep: voltages in mV, and the values a free gate coordinate runs over.

@@ -27,6 +27,6 @@ def euler_step():
 
     def step(x, dt, dB, params):
         traj, events = _integrate(x, params, dt, 1, np.array([dB], dtype=float))
-        return State.from_array(traj[1]), events
+        return State(*traj[1].tolist()), events
 
     return step

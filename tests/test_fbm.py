@@ -104,44 +104,34 @@ class TestCholesky:
         lag1 = np.mean(inc[1:] * inc[:-1]) / np.mean(inc * inc)
         assert abs(lag1) < 3.0 / math.sqrt(inc.size)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_factorization_error_carries_pivot(self):
-        # First column [1, 2]: [[1, 2], [2, 1]] is indefinite at its second
-        # pivot, 1 - 2^2 < 0.
-        with pytest.raises(FactorizationError, match="pivot index 1") as err:
-            fbm._toeplitz_cholesky(np.array([1.0, 2.0]))
-        assert err.value.pivot_index == 1
+        cases = [
+            # [[1, 2], [2, 1]] is indefinite at its second pivot, 1 - 2^2 < 0.
+            ([1.0, 2.0], 1),
+            ([0.0, 0.5], 0),
+            ([-1.0], 0),
+            ([math.nan, 0.5], 0),
+            # A NaN or infinite entry of the column reaches the pivot of its
+            # own index.
+            ([1.0, 0.5, math.nan, 0.1], 2),
+            ([1.0, 0.5, 0.1, math.inf], 3),
+        ]
+        for gamma, pivot in cases:
+            with pytest.raises(FactorizationError, match=f"pivot index {pivot}") as err:
+                fbm._toeplitz_cholesky(np.array(gamma))
+            assert err.value.pivot_index == pivot
 
-    @pytest.mark.parametrize("n_grid", [*range(1, 10), 100, 101])
-    def test_rfp_bit_equal_to_packed_toeplitz(self, n_grid):
-        gamma = fgn_autocovariance(np.arange(n_grid), 0.7)
-        packed, info = scipy.linalg.lapack.dtrttf(scipy.linalg.toeplitz(gamma), uplo="L")
-        assert info == 0
-        rfp = fbm._toeplitz_rfp(gamma)
-        assert rfp.shape == (n_grid * (n_grid + 1) // 2,)
-        assert rfp.tobytes() == packed.tobytes()
-
-    @settings(max_examples=100, deadline=None)
-    @given(n_grid=st.integers(1, 300))
-    def test_packed_conversion_bit_equal_to_dtfttp(self, n_grid):
-        # Distinct entries, so that any misplaced one shows.
-        lower = np.arange(1.0, n_grid * n_grid + 1.0).reshape(n_grid, n_grid)
-        rfp, info = scipy.linalg.lapack.dtrttf(lower, uplo="L")
-        assert info == 0
-        expected, info = scipy.linalg.lapack.dtfttp(n_grid, rfp, uplo="L")
-        assert info == 0
-        assert fbm._rfp_to_packed(rfp, n_grid) is rfp
-        assert rfp.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("n_grid", [1000, 1001])
-    def test_packed_conversion_allocates_no_second_factor(self, n_grid):
-        rfp = np.arange(n_grid * (n_grid + 1) // 2, dtype=float)
+    def test_cold_factor_build_holds_one_factor(self, cold_memo):
+        n_grid = 2000
         tracemalloc.start()
         try:
-            fbm._rfp_to_packed(rfp, n_grid)
+            factor = fbm._unit_factor(n_grid, 0.75)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < rfp.nbytes / 3
+        assert factor.nbytes == 4 * n_grid * (n_grid + 1)
+        assert peak <= 1.1 * factor.nbytes
 
     @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
     @pytest.mark.parametrize("n_grid", [1, 2, 3, 64, 257, 1000])
@@ -191,22 +181,26 @@ def _count_calls(monkeypatch, owner, name):
 
 
 class TestSpectralMemo:
+    @pytest.mark.parametrize("hurst", [0.51, 0.75, 0.999])
+    @pytest.mark.parametrize("n_grid", [1, 2, 3, 64, 257, 1000, 1001])
+    def test_factor_matches_dense_cholesky(self, cold_memo, n_grid, hurst):
+        # The Schur factor against LAPACK's Cholesky factor of the full
+        # Toeplitz matrix, in lower packed order: the rows of its transpose's
+        # upper triangle.
+        gamma = fgn_autocovariance(np.arange(n_grid), hurst)
+        dense = np.linalg.cholesky(scipy.linalg.toeplitz(gamma))
+        reference = dense.T[np.triu_indices(n_grid)]
+        factor = fbm._unit_factor(n_grid, hurst)
+        assert factor.shape == reference.shape
+        assert np.abs(factor - reference).max() <= 1e-12 * np.abs(reference).max()
+
     @pytest.mark.parametrize(
         "n_grid,horizon,hurst",
         [(1, 2.0, 0.75), (2, 1.0, 0.6), (64, 10.0, 0.55), (257, 50.0, 0.95), (1000, 10.0, 0.75)],
     )
     def test_factor_bit_identical_to_scaled_toeplitz(self, cold_memo, n_grid, horizon, hurst):
         # The covariance at step delta is delta^2H times the unit-grid
-        # Toeplitz matrix: its factor is LAPACK's RFP factor of the unit
-        # matrix in lower packed order, and its paths are the unit-grid paths
-        # times delta^H.
-        gamma = fgn_autocovariance(np.arange(n_grid), hurst)
-        rfp, _ = scipy.linalg.lapack.dtrttf(scipy.linalg.toeplitz(gamma), uplo="L")
-        factor, info = scipy.linalg.lapack.dpftrf(n_grid, rfp, uplo="L")
-        assert info == 0
-        reference, info = scipy.linalg.lapack.dtfttp(n_grid, factor, uplo="L")
-        assert info == 0
-        assert fbm._unit_factor(n_grid, hurst).tobytes() == reference.tobytes()
+        # Toeplitz matrix: its paths are the unit-grid paths times delta^H.
         unit = CHOLESKY(n_grid, float(n_grid), hurst, 3, 2)
         unit *= (horizon / n_grid) ** hurst
         assert CHOLESKY(n_grid, horizon, hurst, 3, 2).tobytes() == unit.tobytes()
@@ -234,7 +228,7 @@ class TestSpectralMemo:
         assert list(cold_memo) == [("cholesky", 16, 0.75)]
 
     def test_cholesky_driver_factors_once_per_key(self, cold_memo, monkeypatch):
-        calls = _count_calls(monkeypatch, fbm.scipy.linalg.lapack, "dpftrf")
+        calls = _count_calls(monkeypatch, fbm, "_toeplitz_cholesky")
         sample_driver(200, 2.0, 0.75, 1, generator="cholesky")
         assert len(calls) == 1
         sample_driver(200, 5.0, 0.75, 2, generator="cholesky")

@@ -4,6 +4,7 @@ The single-step oracle values were computed independently with mpmath at 50
 digits from the affine update x + b(x) dt + sigma(x) dB.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -123,8 +124,8 @@ class TestStepEuler:
         params = HHParams.classic(current_I=current, sigma=0.25)
         new, events = euler_step(x, dt, (0.0, 0.0, 0.0), params)
         assume(not events)
-        ref = x.as_array() + dt * drift(x, params)
-        got = new.as_array()
+        ref = np.array(dataclasses.astuple(x)) + dt * drift(x, params)
+        got = np.array(dataclasses.astuple(new))
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
@@ -159,7 +160,7 @@ def _reference_step(x, params, dt, dB=None, step=0):
 def _reference_run(x0, params, dt, increments):
     """`_reference_step` once per row of `increments`: (trajectory rows, clamp
     events, 0-based step of the divergence or None)."""
-    rows, events = [x0.as_array().tolist()], []
+    rows, events = [np.array(dataclasses.astuple(x0)).tolist()], []
     for step, dB in enumerate(increments.tolist()):
         new, new_events = _reference_step(State(*rows[-1]), params, dt, dB, step)
         events += new_events
@@ -266,7 +267,7 @@ class TestSimulate:
     def test_equilibrium_stays_put_with_matching_current(self, eq0):
         params = HHParams.classic(current_I=rest_current(HHParams.classic()))
         run = simulate(eq0, params, SolverConfig(T=50.0, dt=0.01))
-        assert np.abs(run.trajectory - eq0.as_array()).max() < 1e-6
+        assert np.abs(run.trajectory - np.array(dataclasses.astuple(eq0))).max() < 1e-6
 
     def test_gates_stay_in_unit_box_with_noise(self, eq0, classic_i10_noisy):
         for hurst, seed in [(0.55, 0), (0.75, 1), (0.95, 2)]:
@@ -327,7 +328,7 @@ class TestSimulate:
     def test_result_accessors(self, eq0, classic_i10):
         run = simulate(eq0, classic_i10, SolverConfig(T=1.0, dt=0.01))
         assert run.n_steps == 100
-        assert np.array_equal(run.trajectory[0], eq0.as_array())
+        assert np.array_equal(run.trajectory[0], np.array(dataclasses.astuple(eq0)))
         assert run.max_abs_V == np.abs(run.voltage).max()
 
 
