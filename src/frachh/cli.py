@@ -4,9 +4,11 @@ Subcommands: simulate | sweep | fbm | viability | series. Every run is a
 deterministic function of its configuration and master seed (up to the usual
 platform caveats for FFT-backed sampling). Configuration lives in a flat
 `key = value` text file; command-line flags override file values, which
-override the built-in defaults. Each subcommand takes only the flags it reads
-(`_SUBCOMMANDS`), while one config file may serve them all: a key a
-subcommand does not read is ignored. Outputs are CSV (plus an optional SVG
+override the built-in defaults (`CONFIG_DEFAULTS`). `main` builds that config
+once, as a plain dict, and looks the subcommand's `cmd_<name>` up by name when
+it runs. Each subcommand takes only the flags it reads (`_SUBCOMMANDS`), while
+one config file may serve them all: a key a subcommand does not read is
+ignored. Outputs are CSV (plus an optional SVG
 voltage trace) in the chosen output directory, with a machine-readable
 `key=value` summary on stdout.
 
@@ -36,40 +38,26 @@ _SWEEP_MAX_POINTS = 100_000
 
 # Config-file keys that differ from the library field they set.
 _KEY_FOR_FIELD = {"hurst_H": "hurst"}
-# The CLI's one default that differs from the library's: a spiking current.
-_CLI_DEFAULTS = {"current_I": 10.0}
 
-RunConfig = dataclasses.make_dataclass(
-    "RunConfig",
-    [
-        (_KEY_FOR_FIELD.get(f.name, f.name), f.type, _CLI_DEFAULTS.get(f.name, f.default))
-        for cls in (HHParams, SolverConfig)
-        for f in dataclasses.fields(cls)
-    ]
-    + [
-        ("threshold", float, analysis.DEFAULT_THRESHOLD),
-        ("refractory", float, analysis.DEFAULT_REFRACTORY),
-        ("out_dir", str, "out"),
-    ],
-    frozen=True,
-    namespace={
-        "__module__": __name__,
-        "__doc__": "Flat bag of every tunable: the fields of `HHParams` and "
-                   "`SolverConfig` (`hurst_H` keyed as `hurst`), spike detection, "
-                   "and the output directory. Field names double as config-file keys.",
-    },
-)
+# Every config key, in file order, with its default; a key's default also
+# gives the type a config-file value parses to. Keys name the fields of
+# `HHParams` and `SolverConfig` (`hurst_H` keyed as `hurst`), spike detection
+# and the output directory. The CLI's one default that differs from the
+# library's is a spiking current.
+CONFIG_DEFAULTS = {
+    **{_KEY_FOR_FIELD.get(f.name, f.name): f.default
+       for cls in (HHParams, SolverConfig) for f in dataclasses.fields(cls)},
+    "current_I": 10.0,
+    "threshold": analysis.DEFAULT_THRESHOLD,
+    "refractory": analysis.DEFAULT_REFRACTORY,
+    "out_dir": "out",
+}
 
 
-def _library_config(config: RunConfig, cls):
+def _library_config(config: dict, cls):
     """The `HHParams` or `SolverConfig` that `config` describes."""
-    return cls(**{
-        f.name: getattr(config, _KEY_FOR_FIELD.get(f.name, f.name))
-        for f in dataclasses.fields(cls)
-    })
-
-
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    return cls(**{f.name: config[_KEY_FOR_FIELD.get(f.name, f.name)]
+                  for f in dataclasses.fields(cls)})
 
 
 def parse_config_file(path) -> dict:
@@ -93,36 +81,29 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _CONFIG_FIELDS:
+        if key not in CONFIG_DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        overrides[key] = _coerce(key, value, where=f"{path}:{lineno}")
+        try:
+            overrides[key] = type(CONFIG_DEFAULTS[key])(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return overrides
 
 
-def _coerce(key: str, value: str, where: str):
-    kind = _CONFIG_FIELDS[key]
-    try:
-        if kind in (int, "int"):
-            return int(value)
-        if kind in (float, "float"):
-            return float(value)
-        return str(value)
-    except ValueError as exc:
-        raise ValueError(f"{where}: bad value for {key!r}: {exc}") from exc
-
-
-def build_run_config(args: argparse.Namespace) -> RunConfig:
-    overrides = {}
+def build_run_config(args: argparse.Namespace) -> dict:
+    """Every config key's value: the flags over the config file over
+    `CONFIG_DEFAULTS`, with `--sigma` setting all three gates."""
+    config = dict(CONFIG_DEFAULTS)
     if args.config:
-        overrides.update(parse_config_file(args.config))
-    for key in _CONFIG_FIELDS:
+        config.update(parse_config_file(args.config))
+    for key in CONFIG_DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
-            overrides[key] = value
+            config[key] = value
     sigma = getattr(args, "sigma", None)
     if sigma is not None:
-        overrides.update(sigma_1=sigma, sigma_2=sigma, sigma_3=sigma)
-    return RunConfig(**overrides)
+        config.update(sigma_1=sigma, sigma_2=sigma, sigma_3=sigma)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +111,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _out_dir(config: RunConfig) -> Path:
-    path = Path(config.out_dir)
+def _out_dir(config: dict) -> Path:
+    path = Path(config["out_dir"])
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -180,12 +161,11 @@ def write_voltage_svg(result: solver.SimulationResult, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config = build_run_config(args)
+def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
     params = _library_config(config, HHParams)
     result = solver.simulate(equilibrium(0.0), params,
                              _library_config(config, SolverConfig))
-    spikes = analysis.detect_spikes(result, config.threshold, config.refractory)
+    spikes = analysis.detect_spikes(result, config["threshold"], config["refractory"])
     holder = (None if params.is_deterministic
               else "none" if len(result.trajectory) < analysis._MIN_SAMPLES
               else analysis.gate_regularity(result).exponent)
@@ -205,8 +185,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if result.bound_satisfied else 1
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    config = build_run_config(args)
+def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
     for flag, value in (("--I-min", args.I_min), ("--I-max", args.I_max),
                         ("--I-step", args.I_step)):
         if not np.isfinite(value):
@@ -229,7 +208,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep = analysis.bifurcation_sweep(
         currents, _library_config(config, HHParams),
         _library_config(config, SolverConfig),
-        config.threshold, config.refractory,
+        config["threshold"], config["refractory"],
     )
     out = _out_dir(config)
     analysis.write_sweep_csv(sweep, out / "sweep.csv")
@@ -240,29 +219,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fbm(args: argparse.Namespace) -> int:
-    config = build_run_config(args)
-    driver = fbm.sample_driver(args.N, config.T, config.hurst, config.seed,
-                               config.generator)
+def cmd_fbm(args: argparse.Namespace, config: dict) -> int:
+    driver = fbm.sample_driver(args.N, config["T"], config["hurst"], config["seed"],
+                               config["generator"])
     out = _out_dir(config)
     fbm.write_driver_csv(driver, out / "fbm.csv")
     _emit("N", args.N)
-    _emit("hurst", config.hurst)
-    _emit("generator", config.generator)
+    _emit("hurst", config["hurst"])
+    _emit("generator", config["generator"])
     _emit("fbm_csv", out / "fbm.csv")
     return 0
 
 
-def cmd_viability(args: argparse.Namespace) -> int:
-    config = build_run_config(args)
+def cmd_viability(args: argparse.Namespace, config: dict) -> int:
     params = _library_config(config, HHParams)
     diffusion_fn = None
     if args.sigma_row4:
         row4 = float(args.sigma_row4)
 
-        def diffusion_fn(x: State, _base=params, _row4=row4):
-            sigma = diffusion(x, _base)
-            sigma[3, :] = _row4
+        def diffusion_fn(x: State):
+            sigma = diffusion(x, params)
+            sigma[3, :] = row4
             return sigma
 
     report = viability.check_viability(params, diffusion_fn=diffusion_fn)
@@ -273,8 +250,7 @@ def cmd_viability(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_series(args: argparse.Namespace) -> int:
-    config = build_run_config(args)
+def cmd_series(args: argparse.Namespace, config: dict) -> int:
     series = analysis.simulate_recording_series(
         args.hurst_values, _library_config(config, HHParams),
         _library_config(config, SolverConfig),
@@ -327,16 +303,16 @@ _ARGUMENTS = {
 }
 
 _SUBCOMMANDS = {
-    "simulate": (cmd_simulate, "integrate one trajectory",
+    "simulate": ("integrate one trajectory",
                  "--T --dt --I --hurst --sigma --seed --generator --threshold "
                  "--refractory --svg"),
-    "sweep": (cmd_sweep, "deterministic spike counts over currents",
+    "sweep": ("deterministic spike counts over currents",
               "--T --dt --threshold --refractory --I-min --I-max --I-step"),
-    "fbm": (cmd_fbm, "sample a three-component fBm driver",
+    "fbm": ("sample a three-component fBm driver",
             "--T --hurst --seed --generator --N"),
-    "viability": (cmd_viability, "boundary condition report for (b, sigma)",
+    "viability": ("boundary condition report for (b, sigma)",
                   "--I --sigma --sigma-row4"),
-    "series": (cmd_series, "degrading-recording series over Hurst values",
+    "series": ("degrading-recording series over Hurst values",
                "--T --dt --I --sigma --seed --generator hurst_values"),
 }
 
@@ -348,21 +324,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "Brownian gate noise, with sweep/viability/regularity tools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, summary, names) in _SUBCOMMANDS.items():
+    for command, (summary, names) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=summary)
         for name in ["--config", *names.split(), "--out"]:
             p.add_argument(name, **_ARGUMENTS[name])
-        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. The only place an exception becomes an exit code:
-    a rejected value (`ValueError`) gives 2, a failed run (`OSError`,
-    `RuntimeError`) gives 1."""
+    """Run one subcommand, `cmd_<name>` as bound when it runs. The only place
+    an exception becomes an exit code: a rejected value (`ValueError`) gives
+    2, a failed run (`OSError`, `RuntimeError`) gives 1."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = build_run_config(args)
+        return globals()[f"cmd_{args.command}"](args, config)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1

@@ -38,14 +38,7 @@ larger than the cap is held alone.
 
 Both generators are deterministic functions of (N, T, H, seed). Bit-identical
 output across platforms is not promised, since Wood-Chan uses the FFT and
-Cholesky BLAS; statistical properties are. Version 0.3.0 changed the
-Cholesky stream (one run of normals a path from the master seed, in place of
-three spawned component seeds); the Wood-Chan normals are those of 0.2.0,
-and its paths differ only by rounding, since the increments are no longer
-differences of cumulative sums. Versions 0.4.0 (the packed factor of the
-unit grid, applied as C (L^T)^-1 z), 0.5.0 (the same factor, LAPACK's, applied
-as L z) and 0.6.0 (the factor built by the Schur algorithm) each changed the
-Cholesky paths at rounding level; the Wood-Chan paths are those of 0.3.0.
+Cholesky BLAS; statistical properties are.
 
 Only the Cholesky generator needs scipy, for `dtpmv`, so `scipy.linalg` is
 imported the first time a factor is applied, not when this module loads. The
@@ -402,8 +395,9 @@ _SAMPLERS = {
 }
 
 
-def component_seeds(master_seed: int, n: int = 3) -> list[int]:
-    """Disjoint seeds spawned from one master seed."""
+def component_seeds(master_seed: int, n: int) -> list[int]:
+    """`n` disjoint per-recording seeds spawned from one master seed, one for
+    each run of a recording series."""
     children = np.random.SeedSequence(master_seed).spawn(n)
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 

@@ -14,8 +14,9 @@ import pytest
 import frachh
 from frachh import cli
 from frachh.cli import (
-    RunConfig,
+    CONFIG_DEFAULTS,
     build_parser,
+    build_run_config,
     main,
     parse_config_file,
     write_voltage_svg,
@@ -43,7 +44,7 @@ def run_cli(args, capsys):
 
 class TestConfigFile:
     def test_keys_and_defaults_pinned(self):
-        defaults = dataclasses.asdict(RunConfig())
+        defaults = CONFIG_DEFAULTS
         assert list(defaults) == CONFIG_KEYS
         expected = {**dataclasses.asdict(HHParams()), **dataclasses.asdict(SolverConfig())}
         expected["hurst"] = expected.pop("hurst_H")
@@ -71,15 +72,15 @@ class TestConfigFile:
         assert {k: type(v) for k, v in overrides.items()} == {
             k: type(v) for k, v in expected.items()
         }
-        assert dataclasses.asdict(RunConfig(**overrides)) == expected
+        assert build_run_config(argparse.Namespace(config=path)) == expected
 
     def test_partial_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("current_I = 2.0\nseed = 5\n# comment\n\n")
         overrides = parse_config_file(path)
         assert overrides == {"current_I": 2.0, "seed": 5}
-        config = RunConfig(**overrides)
-        assert config.T == 50.0
+        config = build_run_config(argparse.Namespace(config=path))
+        assert config == {**CONFIG_DEFAULTS, **overrides} and config["T"] == 50.0
 
     def test_unknown_key_named_in_error(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -455,6 +456,28 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         assert [a.dest for a in actions if not a.option_strings] == positionals.split()
         settable += len(actions)
     assert settable == 42
+
+
+def test_main_runs_the_subcommand_bound_when_it_is_called(tmp_path, monkeypatch):
+    # A wrapper installed after import (as a tracer installs one) must run.
+    calls = []
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    counting("cmd_fbm")
+    counting("cmd_viability")
+    assert main(["fbm", "--N", "16", "--out", str(tmp_path / "fbm")]) == 0
+    assert main(["viability", "--sigma", "0.25", "--sigma-row4", "0.1",
+                 "--out", str(tmp_path / "viability")]) == 1
+    assert calls == ["cmd_fbm", "cmd_viability"]
+    assert (tmp_path / "fbm" / "fbm.csv").exists()
 
 
 # Flags each subcommand used to accept and ignore, each with a valid value.
