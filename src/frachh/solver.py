@@ -21,13 +21,12 @@ generator drew them; nothing is re-sampled inside a run, which is what makes
 runs reproducible and lets `convergence_probe` refine dt on a common noise
 path.
 
-The loop evaluates the gate rates inline. Where V lies on
-[_FAST_V_MIN, _FAST_V_MAX] and neither 25 - V nor 10 - V is within
-`kinetics._SERIES_GAP` of 0, none of `kinetics.rates`' branches fires, and
-the loop writes out its six closed forms with the same expressions in the
-same order, so every bit matches. Anywhere else, at the series points, where
-an exponential would saturate, or on a non-finite V, it calls `rates`,
-looked up as this module's global at call time.
+The loop evaluates the gate rates inline, writing out `kinetics.rates`' six
+closed forms with the same expressions in the same order, so every bit
+matches. The closed forms sit in a `try`; only where one raises
+(ZeroDivisionError at V = 10 or 25, OverflowError below V = -7067.8) is
+`rates` called, looked up as this module's global at call time. A non-finite
+start V goes to `rates` once before the loop, which rejects it.
 
 The loop runs in blocks of `_BLOCK_STEPS` (1024) steps, and the driver
 increments become Python floats one block at a time, so the loop holds no
@@ -37,16 +36,14 @@ block's list of rows; at the end of the block the rows move into a flat
 (n_steps + 1, 4) numpy view of that array, without a copy. The row list
 keeps a block's floats alive until then, which is why blocks are not
 longer: at 4096 steps they raised a bifurcation sweep's peak memory by
-~0.5 MB. A step diverges when one `isfinite` test of the sum of its four new
-coordinates fails: each clamped gate lies in [0,1] or is NaN, and adding at
-most 3 to a finite V cannot overflow, so the sum is finite exactly when all
-four coordinates are.
+~0.5 MB. Each step makes one range test of its new state, every gate in
+[0,1] and V finite; only when it fails are the gates clamped and logged and
+the state checked for divergence.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -55,15 +52,8 @@ import numpy as np
 
 from . import fbm, viability
 from .fbm import GENERATOR_WOOD_CHAN, GENERATORS
-from .kinetics import _EXP_MAX, _SERIES_GAP, HHParams, State, rates, require_in_domain
+from .kinetics import HHParams, State, rates, require_in_domain
 
-# The voltages on which none of `kinetics.rates`' branches fires, given that
-# neither 25 - v nor 10 - v lies within _SERIES_GAP of 0. Below the lower end
-# beta_h's exp((30 - v)/10) saturates; alpha_m's and alpha_n's ratios saturate
-# only below 25 - 10 _EXP_MAX and 10 - 10 _EXP_MAX, and the other exponentials
-# lower still. The upper end keeps inf, which `rates` rejects, off the fast path.
-_FAST_V_MIN = 30.0 - 10.0 * _EXP_MAX
-_FAST_V_MAX = sys.float_info.max
 # Steps per block of `_integrate`'s loop.
 _BLOCK_STEPS = 1024
 
@@ -172,10 +162,11 @@ def _integrate(
     g_na, g_k, g_l = params.gbar_Na, params.gbar_K, params.gbar_L
     e_na, e_k, e_l = params.E_Na, params.E_K, params.E_L
     s1, s2, s3 = params.sigmas
-    exp, expm1, isfinite = math.exp, math.expm1, math.isfinite
-    v_min, v_max, gap = _FAST_V_MIN, _FAST_V_MAX, _SERIES_GAP
+    exp, expm1, isfinite, inf = math.exp, math.expm1, math.isfinite, math.inf
 
     m, h, n, v = x0.m, x0.h, x0.n, x0.V
+    if not isfinite(v):
+        rates(v)  # raises the ValueError that names the voltage
     buf = array("d", (m, h, n, v))
     rows: list[float] = []
     events: list[ClampEvent] = []
@@ -185,19 +176,18 @@ def _integrate(
         if increments is not None:
             inc1, inc2, inc3 = increments[lo:hi].T.tolist()
         for i in range(hi - lo):
-            # `kinetics.rates(v)` written out, expression for expression, where
-            # none of its branches fires; anywhere else it is called.
+            # `kinetics.rates(v)` written out, expression for expression;
+            # where one of them raises, it is called instead.
             xm = 25.0 - v
             xn = 10.0 - v
-            if (v_min <= v <= v_max and (xm >= gap or xm <= -gap)
-                    and (xn >= gap or xn <= -gap)):
+            try:
                 am = 0.1 * (xm / expm1(0.1 * xm))
-                bm = 4.0 * exp(-v / 18.0)
-                ah = 0.07 * exp(-v / 20.0)
+                bm = 4.0 * exp(v / -18.0)
+                ah = 0.07 * exp(v / -20.0)
                 bh = 1.0 / (exp((30.0 - v) / 10.0) + 1.0)
                 an = 0.01 * (xn / expm1(0.1 * xn))
-                bn = 0.125 * exp(-v / 80.0)
-            else:
+                bn = 0.125 * exp(v / -80.0)
+            except (ZeroDivisionError, OverflowError):
                 am, bm, ah, bh, an, bn = rates(v)
             new_m = m + (am - (am + bm) * m) * dt
             new_h = h + (ah - (ah + bh) * h) * dt
@@ -213,19 +203,22 @@ def _integrate(
                 new_h += s2 * h * (1.0 - h) * inc2[i]
                 new_n += s3 * n * (1.0 - n) * inc3[i]
 
-            if new_m < 0.0 or new_m > 1.0:
-                events.append(ClampEvent(step=lo + i, coord="m", pre_value=new_m))
-                new_m = min(1.0, max(0.0, new_m))
-            if new_h < 0.0 or new_h > 1.0:
-                events.append(ClampEvent(step=lo + i, coord="h", pre_value=new_h))
-                new_h = min(1.0, max(0.0, new_h))
-            if new_n < 0.0 or new_n > 1.0:
-                events.append(ClampEvent(step=lo + i, coord="n", pre_value=new_n))
-                new_n = min(1.0, max(0.0, new_n))
-
-            # Finite exactly when all four are (see the module docstring).
-            if not isfinite(new_v + new_m + new_h + new_n):
-                raise DivergenceError(step=lo + i)
+            if not (0.0 <= new_m <= 1.0 and 0.0 <= new_h <= 1.0
+                    and 0.0 <= new_n <= 1.0 and -inf < new_v < inf):
+                if new_m < 0.0 or new_m > 1.0:
+                    events.append(ClampEvent(step=lo + i, coord="m", pre_value=new_m))
+                    new_m = min(1.0, max(0.0, new_m))
+                if new_h < 0.0 or new_h > 1.0:
+                    events.append(ClampEvent(step=lo + i, coord="h", pre_value=new_h))
+                    new_h = min(1.0, max(0.0, new_h))
+                if new_n < 0.0 or new_n > 1.0:
+                    events.append(ClampEvent(step=lo + i, coord="n", pre_value=new_n))
+                    new_n = min(1.0, max(0.0, new_n))
+                # Each gate now lies in [0,1] or is NaN, and adding at most 3
+                # to a finite V cannot overflow: the sum is finite exactly
+                # when all four coordinates are.
+                if not isfinite(new_v + new_m + new_h + new_n):
+                    raise DivergenceError(step=lo + i)
 
             state = new_m, new_h, new_n, new_v
             rows += state

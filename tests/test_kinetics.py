@@ -4,11 +4,13 @@ High-precision expected values were computed independently with mpmath at 50
 digits from the closed-form rate expressions.
 """
 
+import decimal
 import math
 
 import numpy as np
 import pytest
 
+from frachh import kinetics
 from frachh.kinetics import (
     HHParams,
     State,
@@ -37,6 +39,17 @@ def rate(v, name):
     return rates(v)[RATE_NAMES.index(name)]
 
 
+def _expm1_ratio_oracle(x):
+    """x / (exp(x/10) - 1) in 60-digit decimal arithmetic; below |x| = 1e-10,
+    where exp(x/10) - 1 cancels at that precision, its Bernoulli series."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d = decimal.Decimal(x)
+        if abs(x) < 1e-10:
+            return 10 - d / 2 + d * d / 120 - d ** 4 / 720000
+        return d / ((d / 10).exp() - 1)
+
+
 class TestRates:
     def test_closed_forms_at_zero(self):
         am, bm, ah, bh, an, bn = rates(0.0)
@@ -58,9 +71,9 @@ class TestRates:
         "center,getter,prefactor", [(10.0, "alpha_n", 0.01), (25.0, "alpha_m", 0.1)]
     )
     def test_continuity_across_singularities(self, center, getter, prefactor):
-        # The series branch must agree with the closed form evaluated at the
-        # same point (branch mismatch << 1e-9), and the two-sided values must
-        # converge to the on-point limit up to the true slope prefactor/2.
+        # The rate must agree with the closed form evaluated at the same
+        # point (mismatch << 1e-9), and the two-sided values must converge
+        # to the on-point limit up to the true slope prefactor/2.
         for x in (1e-5, 5e-5, 9.9e-5):
             for signed in (x, -x):
                 closed = prefactor * signed / math.expm1(signed / 10.0)
@@ -79,6 +92,22 @@ class TestRates:
             below = rate(center - eps, getter)
             above = rate(center + eps, getter)
             assert abs(above + below - 2.0 * at) <= 1e-9
+
+    def test_expm1_ratio_within_two_ulp_near_zero(self):
+        # The closed form x / expm1(x/10) has no cancellation, so no series
+        # branch is needed near 0, down to |x| = 1e-300.
+        xs = np.concatenate([np.logspace(-300, -4, 1500),
+                             10.0 ** np.random.default_rng(0).uniform(-8, -4, 500)])
+        for x in xs.tolist():
+            for signed in (x, -x):
+                exact = _expm1_ratio_oracle(signed)
+                err = abs(decimal.Decimal(kinetics._expm1_ratio(signed)) - exact)
+                assert err <= 2 * decimal.Decimal(math.ulp(float(exact))), signed
+
+    def test_expm1_ratio_edges_exact(self):
+        for x in (0.0, -0.0, 5e-324, -5e-324):
+            assert kinetics._expm1_ratio(x) == 10.0
+        assert kinetics._expm1_ratio(7100.0) == 0.0
 
     def test_nonnegative_and_finite_over_wide_range(self):
         for v in np.arange(-100.0, 200.01, 0.25):

@@ -235,11 +235,23 @@ class TestInlineRates:
         assert run.n_steps == 5000
         assert calls == []
 
-    def test_series_point_takes_slow_path_by_module_name(self, monkeypatch):
+    # At 25 and 10 a closed form divides by zero; at -7100 an exponential
+    # overflows.
+    @pytest.mark.parametrize("v", [25.0, 10.0, -7100.0])
+    def test_series_point_takes_slow_path_by_module_name(self, monkeypatch, v):
         calls = self._count_rates(monkeypatch)
-        x = kinetics.equilibrium(25.0)
+        x = kinetics.equilibrium(v)
         _integrate(x, HHParams.classic(current_I=10.0), 0.01, 1, None)
-        assert calls == [25.0]
+        assert calls == [v]
+
+    # Near the series points and above the first overflow (V < -7067.8)
+    # nothing raises, so the closed forms are the values.
+    @pytest.mark.parametrize("v", [25.0 - 5e-5, 10.0 + 5e-5, -7000.0])
+    def test_near_series_point_stays_inline(self, monkeypatch, v):
+        calls = self._count_rates(monkeypatch)
+        x = kinetics.equilibrium(v)
+        _integrate(x, HHParams.classic(current_I=10.0), 0.01, 1, None)
+        assert calls == []
 
 
 class TestSimulate:
@@ -303,23 +315,48 @@ class TestSimulate:
             simulate(eq0, classic_i10, SolverConfig(T=50.0, dt=5.0))
         assert err.value.step >= 0
 
+    def test_voltage_overflow_inside_box_diverges(self):
+        # The ionic current overflows while every gate stays in [0,1] (m and
+        # n sit at 1, h decays): V alone turns non-finite.
+        x = State(1.0, 0.5, 1.0, 1e308)
+        with pytest.raises(DivergenceError) as err:
+            _integrate(x, HHParams.classic(current_I=10.0), 0.01, 2, None)
+        assert err.value.step == 0
+
     # sigma 3, dt 0.025, H 0.55, I 10: Euler leaves the stable range on four
     # of ten driver seeds (driver seed -> 0-based step of the DivergenceError).
     EULER_DIVERGES_AT = {0: 359, 2: 72, 3: 474, 6: 980}
 
+    # Euler's rows at H 0.55, I 10, T 50, driver seeds 0-9:
+    # (sigma, dt) -> (seed -> 0-based step of the DivergenceError; for the
+    # seeds that finish, seed -> clamp count, and the seeds whose max V
+    # exceeds E_Na = 115). The sigma-3 row pins its divergence steps only.
+    EULER_ROWS = {
+        (3.0, 0.025): (EULER_DIVERGES_AT, None, None),
+        (1.0, 0.04): ({1: 973, 2: 751, 3: 436, 4: 73, 6: 696},
+                      {0: 0, 5: 0, 7: 3, 8: 0, 9: 0}, {0, 5, 7, 8}),
+        (10.0, 0.01): ({}, {0: 790, 1: 741, 2: 730, 3: 755, 4: 784,
+                            5: 717, 6: 734, 7: 751, 8: 784, 9: 775},
+                       {1, 2, 3, 5, 7, 9}),
+    }
+
     @pytest.mark.parametrize("seed", range(10))
     def test_coarse_noisy_euler_divergence_row(self, eq0, seed):
-        params = HHParams.classic(current_I=10.0, sigma=3.0)
-        config = SolverConfig(T=50.0, dt=0.025, hurst_H=0.55, seed=seed)
-        increments = _driver_increments(params, config)
-        assert config.n_steps == 2000
-        if seed in self.EULER_DIVERGES_AT:
-            with pytest.raises(DivergenceError) as err:
-                _integrate(eq0, params, config.dt, config.n_steps, increments)
-            assert err.value.step == self.EULER_DIVERGES_AT[seed]
-        else:
-            traj, _ = _integrate(eq0, params, config.dt, config.n_steps, increments)
+        for (sigma, dt), (diverges_at, clamps, above_e_na) in self.EULER_ROWS.items():
+            params = HHParams.classic(current_I=10.0, sigma=sigma)
+            config = SolverConfig(T=50.0, dt=dt, hurst_H=0.55, seed=seed)
+            increments = _driver_increments(params, config)
+            assert config.n_steps == {0.025: 2000, 0.04: 1250, 0.01: 5000}[dt]
+            if seed in diverges_at:
+                with pytest.raises(DivergenceError) as err:
+                    _integrate(eq0, params, config.dt, config.n_steps, increments)
+                assert err.value.step == diverges_at[seed]
+                continue
+            traj, events = _integrate(eq0, params, config.dt, config.n_steps, increments)
             assert np.isfinite(traj).all()
+            if clamps is not None:
+                assert len(events) == clamps[seed]
+                assert (traj[:, 3].max() > params.E_Na) == (seed in above_e_na)
 
     def test_start_outside_box_rejected(self, classic_i10):
         with pytest.raises(ValueError):
