@@ -10,4 +10,4 @@ driver dials the regularity of the simulated paths (estimated in `analysis`).
 from .kinetics import HHParams, equilibrium
 from .solver import SolverConfig, simulate
 
-__version__ = "0.6.1"
+__version__ = "0.7.0"

@@ -10,12 +10,18 @@ arguments and takes the three gate components as the first three paths.
 * Cholesky: path i is L z_i scaled to the step T/N, L the lower triangular
   factor of the unit-grid increment covariance and z_i the i-th run of N
   normals. The covariance is Toeplitz, so the Schur algorithm builds L
-  straight from the autocovariance, one column per O(N) step, in lower
-  packed (TP) order: N(N+1)/2 doubles, no N x N matrix and no second copy.
-  Its O(N^2) cost is paid once per (N, H). Each path then costs O(N^2) too:
-  one packed triangular product L z (BLAS `dtpmv`). The products run one
-  path at a time, because BLAS may round a column of a multi-column product
-  differently with the number of columns.
+  straight from the autocovariance, one column per O(N) step, with no N x N
+  matrix and no second copy. The factor is held as row blocks of U = L^T,
+  `_BLOCK_ROWS` rows each: block j holds rows [jb, jb+b) and columns
+  [jb, N) of U in C order, so column k of L is one contiguous slice, and
+  the corner of a diagonal block below its diagonal is zero. At N = 1000
+  that is 4.5 MB, against 4.0 MB for the triangle alone. Its O(N^2) cost is
+  paid once per (N, H). Each path then costs O(N^2) too: the row vector
+  z_i^T U is one numpy product `z[jb:jb+b] @ block` per block, added into
+  columns [jb, N). A block is applied to every path before the next block,
+  so it is read from memory once per draw, but each product takes one path:
+  BLAS may round a row of a multi-row product differently with the number
+  of rows, and the first j paths must be the j-path draw.
 * Wood-Chan: circulant embedding of the stationary increment process
   (fractional Gaussian noise) diagonalized by the FFT; exact in distribution
   and O(N log N). The embedding is the smallest power of two >= N, which is
@@ -33,20 +39,16 @@ embedding of size 2M) are memoized per (generator, N, H) and shared
 read-only, so a run that returns to an earlier key, such as a series of
 recordings over a few Hurst parameters, reuses them. All entries share one
 cap: the oldest are dropped once their total passes `_MEMO_MAX_BYTES` (16
-MiB, four factors at N = 1000), and the newest is always kept, so a factor
+MiB, three factors at N = 1000), and the newest is always kept, so a factor
 larger than the cap is held alone.
 
 Both generators are deterministic functions of (N, T, H, seed). Bit-identical
 output across platforms is not promised, since Wood-Chan uses the FFT and
-Cholesky BLAS; statistical properties are.
+Cholesky BLAS through numpy; statistical properties are.
 
-Only the Cholesky generator needs scipy, for `dtpmv`, so `scipy.linalg` is
-imported the first time a factor is applied, not when this module loads. The
-import takes about 0.13 s and 28 MB, which a Wood-Chan run, the default, would
-pay in every fresh process without using it. The module attribute `fbm.scipy`
-imports it on first access (PEP 562), and the Cholesky code reaches scipy
-through that name at call time, so replacing `fbm.scipy` or its BLAS
-wrappers reaches every product.
+This module needs numpy alone. The module attribute `fbm.scipy` still imports
+`scipy.linalg` on first access (PEP 562), so code that wraps names reached
+through it can patch it, but nothing in frachh calls through it.
 """
 
 from __future__ import annotations
@@ -72,6 +74,10 @@ _BATCH_BYTES = 1 << 20
 # Autocovariances `_circulant_eigenvalues` evaluates at a time, so that their
 # temporaries stay small beside the 2M-point complex buffer they fill.
 _EIG_CHUNK = 1 << 15
+# Rows of U = L^T per block of a Cholesky factor; see `_factor_blocks`. At
+# N = 1000 a block of 128 rows is at most 1 MB, so it stays in cache while
+# it is applied to the three paths of a driver.
+_BLOCK_ROWS = 128
 # Rows per formatted block of a CSV file.
 _CSV_BLOCK = 4096
 
@@ -85,20 +91,15 @@ class FactorizationError(RuntimeError):
 
 
 def __getattr__(name: str):
-    """`fbm.scipy`: imports `scipy.linalg` on first access and binds it."""
+    """`fbm.scipy`: imports `scipy.linalg` on first access and binds it.
+
+    Nothing in frachh calls through this name; it is kept for code that
+    patches `fbm.scipy`, such as perfbench's per-layer wrappers."""
     if name != "scipy":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     global scipy
     import scipy.linalg
     return scipy
-
-
-def _linalg():
-    """`scipy.linalg` as this module's `scipy` name holds it now."""
-    try:
-        return scipy.linalg
-    except NameError:
-        return __getattr__("scipy").linalg
 
 
 def require_seed(seed) -> None:
@@ -115,8 +116,8 @@ def _check_hurst(H: float) -> float:
 
 
 # Total size of the memo's arrays before it drops the oldest. A Cholesky
-# factor takes 4 N(N+1) bytes, 4.0 MB at N = 1000, so four fit; a Wood-Chan
-# scale vector 16 (M+1), 8 MiB at N = 2^19.
+# factor takes 8 `_factor_size(N)` bytes, 4.5 MB at N = 1000, so three fit; a
+# Wood-Chan scale vector 16 (M+1), 8 MiB at N = 2^19.
 _MEMO_MAX_BYTES = 16 << 20
 
 # Cholesky factors and Wood-Chan scale vectors by key, oldest first; see
@@ -218,17 +219,35 @@ def _check_grid_args(N: int, T: float) -> tuple[int, float]:
     return N, T
 
 
+def _factor_size(N: int) -> int:
+    """Doubles in the blocked Cholesky factor of order N; see `_factor_blocks`."""
+    return sum(min(_BLOCK_ROWS, N - lo) * (N - lo) for lo in range(0, N, _BLOCK_ROWS))
+
+
+def _factor_blocks(factor: np.ndarray, N: int) -> list[np.ndarray]:
+    """Views of the row blocks of U = L^T in the flat `factor`, one after
+    another: block j holds rows [jb, jb+b) and columns [jb, N) of U, b =
+    `_BLOCK_ROWS`, in C order."""
+    blocks, start = [], 0
+    for lo in range(0, N, _BLOCK_ROWS):
+        size = min(_BLOCK_ROWS, N - lo) * (N - lo)
+        blocks.append(factor[start : start + size].reshape(-1, N - lo))
+        start += size
+    return blocks
+
+
 def _toeplitz_cholesky(gamma: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the symmetric Toeplitz matrix with first column
-    `gamma`, in lower packed (TP) order: its columns one after another,
-    N(N+1)/2 doubles, with no N x N matrix built.
+    """Lower Cholesky factor L of the symmetric Toeplitz matrix with first
+    column `gamma`, as the flat row blocks of U = L^T (`_factor_blocks`),
+    with no N x N matrix built.
 
     The Schur algorithm in its mixed form (Kailath & Sayed 1995; stable for
     a positive definite Toeplitz matrix, Bojanczyk, Brent, de Hoog & Sweet
     1995) turns the generator pair (u, v) into one column per step in O(N):
-    u is written as the column, v loses its first entry and u its last, and
-    the rotation by rho = v[0] / u[0], s = sqrt((1 - rho)(1 + rho)), takes
-    u to (u - rho v) / s and then v to s v - rho u. A pivot is bad unless
+    u is written as column k of L, the contiguous row slice U[k, k:], v
+    loses its first entry and u its last, and the rotation by
+    rho = v[0] / u[0], s = sqrt((1 - rho)(1 + rho)), takes u to
+    (u - rho v) / s and then v to s v - rho u. A pivot is bad unless
     0 < gamma[0] < inf (index 0) and |rho| < 1 (index k + 1 at step k). A
     NaN or infinite entry reaches some rho, so it is a bad pivot too, and
     the arithmetic on the way there raises no numpy warning.
@@ -239,13 +258,12 @@ def _toeplitz_cholesky(gamma: np.ndarray) -> np.ndarray:
     u = gamma / math.sqrt(gamma[0])
     v = u.copy()
     v[0] = 0.0
-    factor = np.empty(N * (N + 1) // 2)
-    start = 0
+    factor = np.zeros(_factor_size(N))
+    columns = (block[r, r:] for block in _factor_blocks(factor, N) for r in range(len(block)))
     with np.errstate(all="ignore"):
-        for k in range(N):
+        for k, column in enumerate(columns):
             n = N - k
-            factor[start : start + n] = u[:n]
-            start += n
+            column[:] = u[:n]
             if n == 1:
                 break
             uk, vk = u[: n - 1], v[k + 1 :]
@@ -269,9 +287,10 @@ def _pivot_error(index: int) -> FactorizationError:
 
 
 def _unit_factor(N: int, H: float) -> np.ndarray:
-    """Read-only lower packed (TP) Cholesky factor of the unit-grid fGn
-    covariance gamma(|i-j|), memoized per (N, H): built column by column by
-    the Schur algorithm, N(N+1)/2 doubles."""
+    """Read-only Cholesky factor of the unit-grid fGn covariance
+    gamma(|i-j|), memoized per (N, H): built column by column by the Schur
+    algorithm into the flat row blocks of U = L^T, `_factor_size(N)`
+    doubles."""
     return _memoized(
         (GENERATOR_CHOLESKY, N, H),
         lambda: _toeplitz_cholesky(fgn_autocovariance(np.arange(N), H)),
@@ -282,16 +301,21 @@ def _cholesky_increments(N: int, T: float, H: float, seed, n_paths: int) -> np.n
     """(n_paths, N) increment paths, path i `L z_i` scaled to the step T/N, L
     the unit-grid factor and z_i the i-th run of N normals.
 
-    Each path is one packed triangular product (`dtpmv`) in place of its row,
-    one path at a time: BLAS may round a column of a multi-column product
-    differently with the number of columns, and the first j paths must be
-    the j-path draw.
+    Path i is the row z_i^T U, U = L^T, summed block by block:
+    `z_i[lo:hi] @ block` is added into its columns [lo, N). Each block is
+    applied to every path before the next, one path a product: numpy's BLAS
+    may round a row of a multi-row product differently with the number of
+    rows, and the first j paths must be the j-path draw.
     """
-    tpmv = _linalg().blas.dtpmv
-    factor = _unit_factor(N, H)
-    out = np.random.default_rng(seed).standard_normal((n_paths, N))
-    for row in out:
-        tpmv(N, factor, row, lower=1, overwrite_x=1)
+    blocks = _factor_blocks(_unit_factor(N, H), N)
+    z = np.random.default_rng(seed).standard_normal((n_paths, N))
+    out = np.zeros_like(z)
+    product = np.empty(N)
+    for lo, block in zip(range(0, N, _BLOCK_ROWS), blocks):
+        part = product[lo:]
+        for z_row, out_row in zip(z[:, lo : lo + len(block)], out[:, lo:]):
+            np.matmul(z_row, block, out=part)
+            out_row += part
     out *= (T / N) ** H
     return out
 

@@ -512,41 +512,48 @@ def test_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, ar
     assert not out.exists()
 
 
-# Runs in a fresh interpreter: this one already has scipy loaded by other tests.
+# Runs in a fresh interpreter: this one already has scipy loaded by other
+# tests. With "blocked", scipy cannot be imported at all.
 COLD_START_SCRIPT = """
 import sys
 from pathlib import Path
+
+if sys.argv[2] == "blocked":
+    sys.modules["scipy"] = None
 
 import frachh
 import frachh.cli as cli
 
 out = Path(sys.argv[1])
-runs = [
-    ["simulate", "--sigma", "0.25", "--T", "5", "--seed", "1"],
-    ["sweep", "--I-min", "0", "--I-max", "8", "--I-step", "4", "--T", "20"],
-    ["fbm", "--N", "256", "--seed", "1"],
-    ["viability", "--sigma", "0.25"],
-    ["series", "0.9", "0.7", "--sigma", "0.25", "--T", "5"],
-]
-for argv in runs:
-    assert cli.main(argv + ["--out", str(out / argv[0])]) == 0, argv
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+runs = {
+    "simulate": ["simulate", "--sigma", "0.25", "--T", "5", "--seed", "1"],
+    "cholesky": ["simulate", "--sigma", "0.25", "--T", "5", "--generator", "cholesky"],
+    "sweep": ["sweep", "--I-min", "0", "--I-max", "8", "--I-step", "4", "--T", "20"],
+    "fbm": ["fbm", "--N", "256", "--seed", "1"],
+    "viability": ["viability", "--sigma", "0.25"],
+    "series": ["series", "0.9", "0.7", "--sigma", "0.25", "--T", "5"],
+}
+for name, argv in runs.items():
+    assert cli.main(argv + ["--out", str(out / name)]) == 0, argv
+loaded = sorted(m for m, module in sys.modules.items()
+                if module is not None and (m == "scipy" or m.startswith("scipy.")))
 assert not loaded, loaded[:3]
 
-from frachh import fbm
+if sys.argv[2] != "blocked":
+    from frachh import fbm
 
-assert callable(fbm.scipy.linalg.cholesky)
-argv = ["simulate", "--sigma", "0.25", "--T", "5", "--generator", "cholesky"]
-assert cli.main(argv + ["--out", str(out / "cholesky")]) == 0
+    assert callable(fbm.scipy.linalg.cholesky)
 """
 
 
-def test_scipy_is_imported_only_for_a_cholesky_factor(tmp_path):
+def test_no_subcommand_imports_scipy(tmp_path):
     src = str(Path(frachh.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", COLD_START_SCRIPT, str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "cholesky" / "trajectory.csv").exists()
+    for mode in ("importable", "blocked"):
+        out = tmp_path / mode
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START_SCRIPT, str(out), mode],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, (mode, proc.stderr)
+        assert (out / "cholesky" / "trajectory.csv").exists()

@@ -123,20 +123,24 @@ class TestCholesky:
             assert err.value.pivot_index == pivot
 
     def test_cold_factor_build_holds_one_factor(self, cold_memo):
+        # q full blocks of b rows, block j b (N - jb) doubles, then an r x r
+        # block: 2,126,080 doubles at N = 2000, b = 128.
         n_grid = 2000
+        b = fbm._BLOCK_ROWS
+        q, r = divmod(n_grid, b)
         tracemalloc.start()
         try:
             factor = fbm._unit_factor(n_grid, 0.75)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert factor.nbytes == 4 * n_grid * (n_grid + 1)
+        assert factor.nbytes == 8 * (b * (q * n_grid - b * q * (q - 1) // 2) + r * r)
         assert peak <= 1.1 * factor.nbytes
 
     @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
     @pytest.mark.parametrize("n_grid", [1, 2, 3, 64, 257, 1000])
     def test_paths_match_full_factor_product(self, n_grid, hurst):
-        # T = N is the unit grid; the packed product against L z with L the
+        # T = N is the unit grid; the blocked product against L z with L the
         # full lower factor of the Toeplitz covariance.
         gamma = fgn_autocovariance(np.arange(n_grid), hurst)
         factor = scipy.linalg.cholesky(scipy.linalg.toeplitz(gamma), lower=True)
@@ -159,6 +163,23 @@ class TestCholesky:
         # numpy integers are integers.
         driver = sample_driver(np.int64(16), 1.0, 0.75, np.uint32(1))
         assert driver.increments.shape == (16, 3)
+
+
+def _expand_factor(factor, n_grid):
+    """The dense lower factor L held by the flat `factor`: row blocks of
+    U = L^T, block j rows [jb, jb+b) and columns [jb, N) of U in C order,
+    whose corners below the diagonal must be zero."""
+    b = fbm._BLOCK_ROWS
+    upper = np.zeros((n_grid, n_grid))
+    start = 0
+    for lo in range(0, n_grid, b):
+        hi = min(lo + b, n_grid)
+        size = (hi - lo) * (n_grid - lo)
+        upper[lo:hi, lo:] = factor[start : start + size].reshape(hi - lo, n_grid - lo)
+        start += size
+    assert start == factor.size
+    assert not np.tril(upper, -1).any()
+    return upper.T
 
 
 @pytest.fixture
@@ -184,14 +205,11 @@ class TestSpectralMemo:
     @pytest.mark.parametrize("hurst", [0.51, 0.75, 0.999])
     @pytest.mark.parametrize("n_grid", [1, 2, 3, 64, 257, 1000, 1001])
     def test_factor_matches_dense_cholesky(self, cold_memo, n_grid, hurst):
-        # The Schur factor against LAPACK's Cholesky factor of the full
-        # Toeplitz matrix, in lower packed order: the rows of its transpose's
-        # upper triangle.
+        # The Schur factor, expanded from its row blocks, against LAPACK's
+        # Cholesky factor of the full Toeplitz matrix.
         gamma = fgn_autocovariance(np.arange(n_grid), hurst)
-        dense = np.linalg.cholesky(scipy.linalg.toeplitz(gamma))
-        reference = dense.T[np.triu_indices(n_grid)]
-        factor = fbm._unit_factor(n_grid, hurst)
-        assert factor.shape == reference.shape
+        reference = np.linalg.cholesky(scipy.linalg.toeplitz(gamma))
+        factor = _expand_factor(fbm._unit_factor(n_grid, hurst), n_grid)
         assert np.abs(factor - reference).max() <= 1e-12 * np.abs(reference).max()
 
     @pytest.mark.parametrize(
@@ -352,15 +370,26 @@ class TestSpectralMemo:
         assert big.nbytes > 288
         assert list(cold_memo) == [("wood_chan", 64, 0.7)]
 
+    def test_cholesky_runs_factors_stay_memoized_together(self, cold_memo, monkeypatch):
+        # The three Hurst values of the `cholesky_runs` benchmark at N = 1000:
+        # each factor is built once, however often the rounds return to it.
+        calls = _count_calls(monkeypatch, fbm, "_toeplitz_cholesky")
+        for _ in range(2):
+            for hurst in (0.6, 0.75, 0.9):
+                sample_driver(1000, 10.0, hurst, 1, generator="cholesky")
+        assert len(calls) == 3
+        assert [k[2] for k in cold_memo] == [0.6, 0.75, 0.9]
+        assert sum(v.nbytes for v in cold_memo.values()) <= fbm._MEMO_MAX_BYTES
+
     def test_factors_and_spectra_share_the_cap(self, cold_memo):
-        # Factors at N = 1000 take 4 N(N+1) = 4,004,000 bytes, scale vectors
-        # 16 (M+1): 2 MiB + 16 at N = 2^17, 8 MiB + 16 at N = 2^19.
+        # Factors at N = 1000 take 8 x 562,752 = 4,502,016 bytes, scale
+        # vectors 16 (M+1): 2 MiB + 16 at N = 2^17, 8 MiB + 16 at N = 2^19.
         assert fbm._MEMO_MAX_BYTES == 16 << 20
         for hurst in (0.6, 0.75, 0.9):
             fbm._unit_factor(1000, hurst)
         fbm._fgn_scale(2 ** 17, 0.75)
         assert [k[2] for k in cold_memo] == [0.6, 0.75, 0.9, 0.75]
-        # A fourth factor passes the cap by ~1.3 MB: the oldest factor goes.
+        # A fourth factor passes the cap by ~3.3 MB: the oldest factor goes.
         fbm._unit_factor(1000, 0.8)
         assert list(cold_memo) == [("cholesky", 1000, 0.75), ("cholesky", 1000, 0.9),
                                    ("wood_chan", 2 ** 17, 0.75), ("cholesky", 1000, 0.8)]
@@ -477,6 +506,17 @@ class TestBitIdentity:
         less = sampler(n_grid, horizon, hurst, seed, fewer)
         assert less.shape == (fewer, n_grid)
         assert more[:fewer].tobytes() == less.tobytes()
+
+    @pytest.mark.parametrize("generator", fbm.GENERATORS)
+    @pytest.mark.parametrize("n_grid", [127, 128, 129])
+    def test_sampler_prefix_across_a_block_edge(self, generator, n_grid):
+        # N = 128 fills one factor block exactly; 129 starts a second block of
+        # one row.
+        assert fbm._BLOCK_ROWS == 128
+        sampler = fbm._SAMPLERS[generator]
+        more = sampler(n_grid, 10.0, 0.75, 4, 6)
+        for fewer in range(6):
+            assert more[:fewer].tobytes() == sampler(n_grid, 10.0, 0.75, 4, fewer).tobytes()
 
 
 class TestWoodChan:

@@ -175,10 +175,38 @@ def _ulp_neighbours(*voltages):
             for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
 
 
-# The ends of the fast path: the saturation bound of kinetics' exponentials
-# (-6970 for beta_h, -6975 for alpha_m), the series points and the edges of
-# their gaps, and a voltage where beta_m's exponential overflows.
+def _last_overflowing_voltage(closed_form, lo, hi):
+    """The largest voltage at which `closed_form` raises OverflowError, found
+    by bisection over the floats between `lo` (raises) and `hi` (does not)."""
+    while (mid := (lo + hi) / 2.0) not in (lo, hi):
+        try:
+            closed_form(mid)
+        except OverflowError:
+            lo = mid
+        else:
+            hi = mid
+    assert math.nextafter(lo, math.inf) == hi
+    return lo
+
+
+# The voltages below which the Euler loop's closed forms raise and it calls
+# `kinetics.rates`: beta_h's exp near -7067.8, alpha_m's expm1 near -7072.8
+# and alpha_n's near -7087.8.
+SWITCH_VOLTAGES = {
+    name: _last_overflowing_voltage(closed_form, -8000.0, -7000.0)
+    for name, closed_form in [
+        ("beta_h", lambda v: 1.0 / (math.exp((30.0 - v) / 10.0) + 1.0)),
+        ("alpha_m", lambda v: 0.1 * ((25.0 - v) / math.expm1(0.1 * (25.0 - v)))),
+        ("alpha_n", lambda v: 0.01 * ((10.0 - v) / math.expm1(0.1 * (10.0 - v)))),
+    ]
+}
+
+# The switch points above; 0.6.0's saturation bounds of kinetics'
+# exponentials (-6970 for beta_h, -6975 for alpha_m), kept as ordinary
+# voltages; the series points and the edges of their old gaps; and a voltage
+# where beta_m's exponential overflows.
 EDGE_VOLTAGES = [
+    *_ulp_neighbours(*SWITCH_VOLTAGES.values()),
     *_ulp_neighbours(-6975.0, -6970.0, 25.0, 10.0, 25.0 - 1e-4, 25.0 + 1e-4,
                      10.0 - 1e-4, 10.0 + 1e-4),
     -13000.0,
@@ -192,6 +220,19 @@ def _with_edge_examples(test):
 
 
 class TestInlineRates:
+    def test_switch_points_are_where_the_closed_forms_first_raise(self, monkeypatch):
+        assert {k: round(v, 1) for k, v in SWITCH_VOLTAGES.items()} == {
+            "beta_h": -7067.8, "alpha_m": -7072.8, "alpha_n": -7087.8}
+        # At each the step calls `rates`. beta_h's is the highest, so one
+        # float above it no closed form raises and the step stays inline.
+        calls = self._count_rates(monkeypatch)
+        params = HHParams.classic(current_I=10.0)
+        for v in SWITCH_VOLTAGES.values():
+            _integrate(kinetics.equilibrium(v), params, 0.01, 1, None)
+        above = math.nextafter(SWITCH_VOLTAGES["beta_h"], math.inf)
+        _integrate(kinetics.equilibrium(above), params, 0.01, 1, None)
+        assert calls == list(SWITCH_VOLTAGES.values())
+
     @settings(max_examples=500, deadline=None)
     @given(
         gates=st.tuples(*[st.floats(0.0, 1.0)] * 3),
