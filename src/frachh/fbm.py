@@ -23,16 +23,17 @@ arguments and takes the three gate components as the first three paths.
   BLAS may round a row of a multi-row product differently with the number
   of rows, and the first j paths must be the j-path draw.
 * Wood-Chan: circulant embedding of the stationary increment process
-  (fractional Gaussian noise) diagonalized by the FFT; exact in distribution
-  and O(N log N). The embedding is the smallest power of two >= N, which is
-  nonnegative definite for fGn (Perrin et al. 2002; Craigmile 2003). See Wood
-  & Chan (1994) and Dietrich & Newsam (1997). Path i is the first N points of
-  one real inverse FFT of its own Hermitian half-spectrum of M+1 terms: 2M + 2
-  normals (the imaginary parts at k = 0 and k = M are zeroed) and one real FFT
-  of 2M points. The half-spectra of several paths are transformed together in
-  one `irfft` call, as many as fit in `_BATCH_BYTES` (1 MiB, at least one): a
-  driver at N = 5000 is one call, and a 1000 ms run holds one path's spectrum
-  at a time.
+  (fractional Gaussian noise) diagonalized by the FFT (Wood & Chan 1994);
+  exact in distribution and O(N log N). The embedding has 2M points, M the
+  smallest 2^a 3^b 5^c >= N (N = 5000 embeds at M = 5000): a size the FFT
+  handles well, and nonnegative definite for fGn with no padding (Dietrich
+  & Newsam 1997; Craigmile 2003); every spectrum is checked all the same.
+  Path i is the first N points of one real inverse FFT of its own Hermitian
+  half-spectrum of M+1 terms: 2M + 2 normals (the imaginary parts at k = 0
+  and k = M are zeroed) and one real FFT of 2M points. The half-spectra of
+  several paths are transformed together in one `irfft` call, as many as
+  fit in `_BATCH_BYTES` (1 MiB, at least one): a driver at N = 5000 is one
+  call, and a 1000 ms run holds one path's spectrum at a time.
 
 Cholesky factors and Wood-Chan scale vectors (16 (M+1) bytes for an
 embedding of size 2M) are memoized per (generator, N, H) and shared
@@ -68,8 +69,8 @@ GENERATORS = (GENERATOR_CHOLESKY, GENERATOR_WOOD_CHAN)
 # floating-point rounding; anything more negative is an error.
 _EIG_CLIP_REL = 1e-9
 # Bytes of complex half-spectra `_unit_fgn` transforms in one call (at least
-# one path). A path at N = 5000 (M = 8192) takes 128 KiB, one of the 1000 ms
-# run (M = 2^17) 2 MiB.
+# one path). A path at N = 5000 (M = 5000) takes ~78 KiB, one of the 1000 ms
+# run (M = 100000) 1.6 MB.
 _BATCH_BYTES = 1 << 20
 # Autocovariances `_circulant_eigenvalues` evaluates at a time, so that their
 # temporaries stay small beside the 2M-point complex buffer they fill.
@@ -143,13 +144,6 @@ def _memoized(key: tuple, build) -> np.ndarray:
            and sum(v.nbytes for v in _spectral_memo.values()) > _MEMO_MAX_BYTES):
         del _spectral_memo[next(iter(_spectral_memo))]
     return value
-
-
-def fbm_covariance(s: float, t: float, H: float) -> float:
-    """cov(B(s), B(t)) = (|s|^2H + |t|^2H - |t-s|^2H) / 2."""
-    _check_hurst(H)
-    two_h = 2.0 * H
-    return 0.5 * (abs(s) ** two_h + abs(t) ** two_h - abs(t - s) ** two_h)
 
 
 def fgn_autocovariance(k, H: float):
@@ -301,7 +295,8 @@ def _cholesky_increments(N: int, T: float, H: float, seed, n_paths: int) -> np.n
     """(n_paths, N) increment paths, path i `L z_i` scaled to the step T/N, L
     the unit-grid factor and z_i the i-th run of N normals.
 
-    Path i is the row z_i^T U, U = L^T, summed block by block:
+    Path i is the row z_i^T U, U = L^T, summed block by block: the first
+    block's product `z_i[:b] @ block` is written into the row, and each later
     `z_i[lo:hi] @ block` is added into its columns [lo, N). Each block is
     applied to every path before the next, one path a product: numpy's BLAS
     may round a row of a multi-row product differently with the number of
@@ -309,9 +304,12 @@ def _cholesky_increments(N: int, T: float, H: float, seed, n_paths: int) -> np.n
     """
     blocks = _factor_blocks(_unit_factor(N, H), N)
     z = np.random.default_rng(seed).standard_normal((n_paths, N))
-    out = np.zeros_like(z)
+    out = np.empty_like(z)
+    first, *rest = blocks
+    for z_row, out_row in zip(z[:, : len(first)], out):
+        np.matmul(z_row, first, out=out_row)
     product = np.empty(N)
-    for lo, block in zip(range(0, N, _BLOCK_ROWS), blocks):
+    for lo, block in zip(range(_BLOCK_ROWS, N, _BLOCK_ROWS), rest):
         part = product[lo:]
         for z_row, out_row in zip(z[:, lo : lo + len(block)], out[:, lo:]):
             np.matmul(z_row, block, out=part)
@@ -341,11 +339,26 @@ def _circulant_eigenvalues(M: int, H: float) -> np.ndarray:
     return np.fft.fft(row, out=row).real
 
 
+def _embedding_half_size(N: int) -> int:
+    """Smallest M = 2^a 3^b 5^c >= N, the half-size of the embedding of N
+    increments: each 3^b 5^c below the power of two >= N is tried with the
+    smallest 2^a that lifts it to N."""
+    best = 1 << max(0, N - 1).bit_length()
+    fives = 1
+    while fives < best:
+        odd = fives
+        while odd < best:
+            best = min(best, odd << (-(-N // odd) - 1).bit_length())
+            odd *= 3
+        fives *= 5
+    return best
+
+
 def _embedding_eigenvalues(N: int, H: float) -> np.ndarray:
-    """Eigenvalues of the minimal embedding, half-size M the smallest power of
-    two >= N. Negatives within -_EIG_CLIP_REL * max are rounding and clipped
-    to zero; any other raises."""
-    lam = _circulant_eigenvalues(1 << max(0, N - 1).bit_length(), H)
+    """Eigenvalues of the minimal embedding, half-size M =
+    `_embedding_half_size(N)`. Negatives within -_EIG_CLIP_REL * max are
+    rounding and clipped to zero; any other raises."""
+    lam = _circulant_eigenvalues(_embedding_half_size(N), H)
     lam_min = float(lam.min())
     if lam_min < -_EIG_CLIP_REL * float(lam.max()):
         raise RuntimeError(
@@ -364,7 +377,7 @@ def _fgn_scale(N: int, H: float) -> np.ndarray:
         # Allocated before the eigenvalues and their temporaries, so that the
         # kept vector does not pin their freed space on the heap: a 1000 ms
         # run peaked ~3 MB higher with it allocated last.
-        m = 1 << max(0, N - 1).bit_length()
+        m = _embedding_half_size(N)
         scale = np.empty(2 * (m + 1))
         wlam = _embedding_eigenvalues(N, H)[: m + 1]
         wlam[1:m] *= float(m)

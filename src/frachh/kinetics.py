@@ -200,12 +200,8 @@ def equilibrium(v: float) -> State:
     alpha_x(v) / (alpha_x(v) + beta_x(v)) and voltage v.
 
     The gate drift vanishes there by construction; the voltage drift does not
-    unless the applied current balances the ionic current (see `rest_current`).
+    unless the applied current equals `ionic_current` there.
     """
     am, bm, ah, bh, an, bn = rates(v)
     return State(m=am / (am + bm), h=ah / (ah + bh), n=an / (an + bn), V=float(v))
 
-
-def rest_current(params: HHParams, v: float = 0.0) -> float:
-    """Applied current that makes `equilibrium(v)` a full fixed point of the drift."""
-    return ionic_current(equilibrium(v), params)

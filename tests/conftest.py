@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from frachh.kinetics import HHParams, State, equilibrium
+from frachh import fbm
+from frachh.kinetics import HHParams, State, equilibrium, ionic_current
 from frachh.solver import _integrate
 
 
@@ -30,3 +31,26 @@ def euler_step():
         return State(*traj[1].tolist()), events
 
     return step
+
+
+@pytest.fixture(scope="session")
+def fbm_covariance():
+    """cov(B(s), B(t)) = (|s|^2H + |t|^2H - |t-s|^2H) / 2 of fBm with Hurst
+    parameter H; an H outside ]0,1[ raises `ValueError`."""
+
+    def covariance(s, t, H):
+        two_h = 2.0 * fbm._check_hurst(H)
+        return 0.5 * (abs(s) ** two_h + abs(t) ** two_h - abs(t - s) ** two_h)
+
+    return covariance
+
+
+@pytest.fixture(scope="session")
+def rest_current():
+    """The applied current that makes `equilibrium(v)` a full fixed point of
+    the drift, as a function of the parameters and v (default 0)."""
+
+    def current(params, v=0.0):
+        return ionic_current(equilibrium(v), params)
+
+    return current

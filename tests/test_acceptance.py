@@ -141,7 +141,7 @@ def test_criterion_4_stochastic_viability(stochastic_runs):
     )
 
 
-def test_criterion_5_fbm_generator_correctness():
+def test_criterion_5_fbm_generator_correctness(fbm_covariance):
     # (a) Wood-Chan path covariance vs the closed form, 1e4 paths, 10 probes.
     n_grid, horizon, hurst, n_paths = 256, 50.0, 0.75, 10_000
     inc = fbm._SAMPLERS["wood_chan"](n_grid, horizon, hurst, 303, n_paths)
@@ -152,10 +152,10 @@ def test_criterion_5_fbm_generator_correctness():
     worst_z = 0.0
     for i, j in probes:
         emp = float(np.mean(paths[:, i] * paths[:, j]))
-        theo = fbm.fbm_covariance(grid[i], grid[j], hurst)
+        theo = fbm_covariance(grid[i], grid[j], hurst)
         var = (
-            fbm.fbm_covariance(grid[i], grid[i], hurst)
-            * fbm.fbm_covariance(grid[j], grid[j], hurst)
+            fbm_covariance(grid[i], grid[i], hurst)
+            * fbm_covariance(grid[j], grid[j], hurst)
             + theo ** 2
         )
         worst_z = max(worst_z, abs(emp - theo) / math.sqrt(var / n_paths))

@@ -22,7 +22,6 @@ from frachh.fbm import (
     FactorizationError,
     FbmPath,
     component_seeds,
-    fbm_covariance,
     fgn_autocovariance,
     sample_driver,
 )
@@ -31,24 +30,38 @@ CHOLESKY = fbm._SAMPLERS["cholesky"]
 WOOD_CHAN = fbm._SAMPLERS["wood_chan"]
 
 
+def _smooth_size(n):
+    """Smallest m >= n with no prime factor above 5, by trial division of
+    n, n + 1, ... in turn."""
+    m = n
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 class TestCovariance:
-    def test_variance_at_one(self):
+    def test_variance_at_one(self, fbm_covariance):
         for hurst in (0.3, 0.5, 0.75, 0.9):
             assert fbm_covariance(1.0, 1.0, hurst) == pytest.approx(1.0, rel=1e-15)
 
-    def test_brownian_case_is_min(self):
+    def test_brownian_case_is_min(self, fbm_covariance):
         assert fbm_covariance(1.0, 2.0, 0.5) == pytest.approx(1.0, rel=1e-15)
         assert fbm_covariance(3.0, 2.0, 0.5) == pytest.approx(2.0, rel=1e-15)
 
-    def test_direct_arithmetic_example(self):
+    def test_direct_arithmetic_example(self, fbm_covariance):
         assert fbm_covariance(1.0, 2.0, 0.75) == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
-    def test_hurst_out_of_range_rejected(self, bad):
+    def test_hurst_out_of_range_rejected(self, fbm_covariance, bad):
         with pytest.raises(ValueError):
             fbm_covariance(1.0, 2.0, bad)
 
-    def test_fgn_autocovariance_consistency(self):
+    def test_fgn_autocovariance_consistency(self, fbm_covariance):
         # gamma(k) equals the covariance of unit-step increments.
         hurst = 0.7
         for k in range(5):
@@ -329,7 +342,7 @@ class TestSpectralMemo:
         # concatenates the row and copies at every stage.
         monkeypatch.setattr(fbm, "_spectral_memo", {})
         for n_grid in (1, 2, 3, 5000, 100000):
-            m = 1 << max(0, n_grid - 1).bit_length()
+            m = _smooth_size(n_grid)
             tracemalloc.start()
             try:
                 scale = fbm._fgn_scale(n_grid, hurst)
@@ -479,7 +492,7 @@ class TestBitIdentity:
     def test_unit_fgn_prefix_is_the_shorter_draw(self, n_grid, hurst, seed, n_paths,
                                                  batch_paths, data):
         fewer = data.draw(st.integers(0, n_paths))
-        m = 1 << (n_grid - 1).bit_length()
+        m = _smooth_size(n_grid)
         # 0 means the default cap; 1..3 paths a batch put boundaries inside.
         cap = batch_paths * 16 * (m + 1) or fbm._BATCH_BYTES
         with mock.patch.object(fbm, "_BATCH_BYTES", cap):
@@ -520,10 +533,11 @@ class TestBitIdentity:
 
 
 class TestWoodChan:
-    @pytest.mark.parametrize("n_grid", [1, 64, 100])
+    @pytest.mark.parametrize("n_grid", [1, 64, 97, 100])
     def test_unit_fgn_rows_match_fgn_autocovariance(self, n_grid):
         # N = 1 embeds in 2M = 2 (only the real terms X_0 and X_M), 64 in
-        # 2M = 128 exactly, 100 in 2M = 256 with M - N padding points.
+        # 2M = 128 and 100 in 2M = 200 with M = N, 97 in 2M = 200 with
+        # M - N = 3 padding points.
         hurst, n_paths = 0.7, 20_000
         x = fbm._unit_fgn(n_grid, hurst, 17, n_paths)
         emp = x.T @ x / n_paths
@@ -541,7 +555,7 @@ class TestWoodChan:
         b = WOOD_CHAN(100, 50.0, 0.75, 9, 1)
         assert np.array_equal(a, b)
 
-    def test_covariance_matches_closed_form(self):
+    def test_covariance_matches_closed_form(self, fbm_covariance):
         # 2e4 paths at N=64; z-scores against the exact sampling SE.
         n_grid, horizon, hurst, n_paths = 64, 50.0, 0.75, 20_000
         inc = WOOD_CHAN(n_grid, horizon, hurst, 7, n_paths)
@@ -589,17 +603,23 @@ class TestWoodChan:
         slope = np.polyfit(np.log(t), np.log(paths[:, idx].var(axis=0)), 1)[0]
         assert abs(slope - 2.0 * hurst) < 0.05
 
-    def test_embedding_sizes_are_padded_powers_of_two(self, cold_memo):
-        for n_grid, hurst, m in [(1, 0.6, 1), (5, 0.55, 8), (64, 0.95, 64), (1000, 0.75, 1024)]:
+    def test_embedding_sizes_are_smallest_5_smooth(self, cold_memo):
+        # M is the smallest 2^a 3^b 5^c >= N, against a search by trial
+        # division; N = 4099 and 131073 lie just past powers of two.
+        cases = [(n, (0.3, 0.55, 0.75, 0.95)[n % 4], _smooth_size(n)) for n in range(1, 3001)]
+        cases += [(4099, 0.55, 4320), (5000, 0.75, 5000), (100000, 0.95, 100000),
+                  (131073, 0.6, 131220)]
+        for n_grid, hurst, m in cases:
+            assert m == _smooth_size(n_grid)
             lam = fbm._embedding_eigenvalues(n_grid, hurst)
-            assert lam.size == 2 * m
+            assert lam.size == 2 * m, n_grid
             assert lam.min() >= 0.0
 
     def test_minimal_embedding_nonnegative_for_fgn(self):
-        # Perrin et al. (2002) and Craigmile (2003): the power-of-two
-        # embedding of fGn needs no padding past the smallest M >= N.
-        for n_grid in (1, 2, 3, 5, 16, 100, 1000, 4097, 5000):
-            m = 1 << (n_grid - 1).bit_length()
+        # Dietrich & Newsam (1997) and Craigmile (2003): the circulant
+        # embedding of fGn needs no padding past the smallest 5-smooth M >= N.
+        for n_grid in (1, 2, 3, 5, 16, 100, 1000, 4097, 4099, 5000, 7919, 10007, 100000):
+            m = _smooth_size(n_grid)
             for hurst in np.arange(1, 100) / 100:
                 lam = fbm._circulant_eigenvalues(m, hurst)
                 assert lam.min() >= -fbm._EIG_CLIP_REL * lam.max(), (n_grid, hurst)
@@ -636,7 +656,7 @@ class TestDriver:
         assert np.array_equal(d.grid, np.arange(n_grid + 1) * (horizon / n_grid))
         assert d.T == horizon
 
-    def test_components_uncorrelated_at_endpoint(self):
+    def test_components_uncorrelated_at_endpoint(self, fbm_covariance):
         ends = np.array([sample_driver(8, 50.0, 0.75, s).values[-1] for s in range(3000)])
         var_t = fbm_covariance(50.0, 50.0, 0.75)
         se = var_t / math.sqrt(ends.shape[0])
@@ -655,7 +675,7 @@ class TestDriver:
             cross = inc[:, :, i].T @ inc[:, :, j] / n_seeds
             assert np.abs(cross).max() <= z_max * se, (i, j)
 
-    def test_component_covariance_matches_closed_form(self):
+    def test_component_covariance_matches_closed_form(self, fbm_covariance):
         ends = np.array(
             [sample_driver(4, 10.0, 0.8, s).values[-1, 1] for s in range(4000)]
         )

@@ -19,7 +19,6 @@ from frachh.kinetics import (
     equilibrium,
     ionic_current,
     rates,
-    rest_current,
 )
 
 # mpmath oracles at v = 0
@@ -123,7 +122,7 @@ class TestRates:
 
 
 class TestDrift:
-    def test_zero_at_equilibrium_with_matching_current(self, eq0):
+    def test_zero_at_equilibrium_with_matching_current(self, eq0, rest_current):
         params = HHParams.classic(current_I=rest_current(HHParams.classic()))
         assert np.abs(drift(eq0, params)).max() < 1e-12
 
@@ -242,7 +241,7 @@ class TestParams:
         with pytest.raises(ValueError):
             HHParams(current_I=math.inf)
 
-    def test_rest_current_balances_ionic_current(self):
+    def test_rest_current_balances_ionic_current(self, rest_current):
         params = HHParams.classic()
         i = rest_current(params, v=-20.0)
         assert ionic_current(equilibrium(-20.0), params) == pytest.approx(i, rel=1e-15)
