@@ -606,13 +606,11 @@ class TestWoodChan:
     def test_embedding_sizes_are_smallest_5_smooth(self, cold_memo):
         # M is the smallest 2^a 3^b 5^c >= N, against a search by trial
         # division; N = 4099 and 131073 lie just past powers of two.
-        cases = [(n, (0.3, 0.55, 0.75, 0.95)[n % 4], _smooth_size(n)) for n in range(1, 3001)]
-        cases += [(4099, 0.55, 4320), (5000, 0.75, 5000), (100000, 0.95, 100000),
-                  (131073, 0.6, 131220)]
-        for n_grid, hurst, m in cases:
-            assert m == _smooth_size(n_grid)
-            lam = fbm._embedding_eigenvalues(n_grid, hurst)
-            assert lam.size == 2 * m, n_grid
+        far = {4099: 4320, 5000: 5000, 100000: 100000, 131073: 131220}
+        assert {n: _smooth_size(n) for n in far} == far
+        for n_grid in [*range(1, 3001), *far]:
+            lam = fbm._embedding_eigenvalues(n_grid, (0.3, 0.55, 0.75, 0.95)[n_grid % 4])
+            assert lam.size == 2 * _smooth_size(n_grid), n_grid
             assert lam.min() >= 0.0
 
     def test_minimal_embedding_nonnegative_for_fgn(self):
