@@ -21,24 +21,32 @@ generator drew them; nothing is re-sampled inside a run, which is what makes
 runs reproducible and lets `convergence_probe` refine dt on a common noise
 path.
 
-The loop evaluates the gate rates inline, writing out `kinetics.rates`' six
-closed forms with the same expressions in the same order, so every bit
-matches. The closed forms sit in a `try`; only where one raises
-(ZeroDivisionError at V = 10 or 25, OverflowError below V = -7067.8) is
-`rates` called, looked up as this module's global at call time. A non-finite
-start V goes to `rates` once before the loop, which rejects it.
+The loop evaluates the gate rates inline, writing out `kinetics.rates`' four
+transcendental calls and the products built from them with the same
+expressions in the same order, so every bit matches. They sit in a `try`;
+only where one raises (ZeroDivisionError at V = 10 or 25, OverflowError
+below V = -7072.8) is `rates` called, looked up as this module's global at
+call time. A non-finite start V goes to `rates` once before the loop, which
+rejects it.
 
-The loop runs in blocks of `_BLOCK_STEPS` (1024) steps, and the driver
+The noise term of gate x is x(1 - x) sigma dB. The loop carries the factor
+x(1 - x) of each gate from one step to the next and scales each block of
+increments by sigma into one buffer allocated before the loop. The factors
+are also the range test: for every float, x(1 - x) >= 0 exactly when
+0 <= x <= 1, and NaN fails it. So each step makes one range test of its new
+state, three factors >= 0 and V finite; only when it fails are the gates
+clamped and logged, their factors set to 0, and the state checked for
+divergence.
+
+The loop runs in blocks of `_BLOCK_STEPS` (1024) steps, and the scaled
 increments become Python floats one block at a time, so the loop holds no
-whole-run lists of them. Each step's new state is one tuple, added to the
-block's list of rows; at the end of the block the rows move into a flat
-`array("d")` in one `fromlist` call, and the trajectory is handed out as an
+whole-run lists of them. Each step's new state is added to the block's list
+of rows; at the end of the block the rows move into a flat `array("d")` in
+one `fromlist` call, and the trajectory is handed out as an
 (n_steps + 1, 4) numpy view of that array, without a copy. The row list
 keeps a block's floats alive until then, which is why blocks are not
 longer: at 4096 steps they raised a bifurcation sweep's peak memory by
-~0.5 MB. Each step makes one range test of its new state, every gate in
-[0,1] and V finite; only when it fails are the gates clamped and logged and
-the state checked for divergence.
+~0.5 MB.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ import numpy as np
 
 from . import fbm, viability
 from .fbm import GENERATOR_WOOD_CHAN, GENERATORS
-from .kinetics import HHParams, State, rates, require_in_domain
+from .kinetics import _E3, HHParams, State, rates, require_in_domain
 
 # Steps per block of `_integrate`'s loop.
 _BLOCK_STEPS = 1024
@@ -157,24 +165,34 @@ def _integrate(
     `increments` has one row of driver increments per step, or is None for a
     noise-free run. Returns (trajectory, clamp events).
     """
-    C = params.capacitance_C
     I = params.current_I
+    dt_c = dt / params.capacitance_C
     g_na, g_k, g_l = params.gbar_Na, params.gbar_K, params.gbar_L
     e_na, e_k, e_l = params.E_Na, params.E_K, params.E_L
-    s1, s2, s3 = params.sigmas
-    exp, expm1, isfinite, inf = math.exp, math.expm1, math.isfinite, math.inf
+    exp, expm1, isfinite, inf, e3 = math.exp, math.expm1, math.isfinite, math.inf, _E3
 
     m, h, n, v = x0.m, x0.h, x0.n, x0.V
     if not isfinite(v):
         rates(v)  # raises the ValueError that names the voltage
+    # The noise factors x(1 - x), carried from step to step; each is >= 0
+    # exactly when its gate lies in [0,1], so they are the range test too.
+    pm, ph, pn = m * (1.0 - m), h * (1.0 - h), n * (1.0 - n)
     buf = array("d", (m, h, n, v))
     rows: list[float] = []
     events: list[ClampEvent] = []
+    noisy = increments is not None
+    if noisy:
+        sigmas = np.array(params.sigmas)
+        scaled = np.empty((min(_BLOCK_STEPS, n_steps), 3))
 
     for lo in range(0, n_steps, _BLOCK_STEPS):
         hi = min(lo + _BLOCK_STEPS, n_steps)
-        if increments is not None:
-            inc1, inc2, inc3 = increments[lo:hi].T.tolist()
+        if noisy:
+            # sigma_k dB_k, one block at a time; 0 * inf is NaN here as it is
+            # in Python, without numpy's warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(increments[lo:hi], sigmas, out=scaled[:hi - lo])
+            d1, d2, d3 = scaled[:hi - lo].T.tolist()
         for i in range(hi - lo):
             # `kinetics.rates(v)` written out, expression for expression;
             # where one of them raises, it is called instead.
@@ -182,47 +200,54 @@ def _integrate(
             xn = 10.0 - v
             try:
                 am = 0.1 * (xm / expm1(0.1 * xm))
-                bm = 4.0 * exp(v / -18.0)
-                ah = 0.07 * exp(v / -20.0)
-                bh = 1.0 / (exp((30.0 - v) / 10.0) + 1.0)
+                e80 = exp(v * (-1 / 80))
+                e20 = e80 * e80
+                e20 *= e20
+                bm = 4.0 * exp(v * (-1 / 18))
+                ah = 0.07 * e20
+                bh = 1.0 / (e3 * (e20 * e20) + 1.0)
                 an = 0.01 * (xn / expm1(0.1 * xn))
-                bn = 0.125 * exp(v / -80.0)
+                bn = 0.125 * e80
             except (ZeroDivisionError, OverflowError):
                 am, bm, ah, bh, an, bn = rates(v)
-            new_m = m + (am - (am + bm) * m) * dt
-            new_h = h + (ah - (ah + bh) * h) * dt
-            new_n = n + (an - (an + bn) * n) * dt
+            nn = n * n
             ion = (
                 g_na * m * m * m * h * (v - e_na)
-                + g_k * n * n * n * n * (v - e_k)
+                + g_k * (nn * nn) * (v - e_k)
                 + g_l * (v - e_l)
             )
-            new_v = v + (I - ion) / C * dt
-            if increments is not None:
-                new_m += s1 * m * (1.0 - m) * inc1[i]
-                new_h += s2 * h * (1.0 - h) * inc2[i]
-                new_n += s3 * n * (1.0 - n) * inc3[i]
+            v += (I - ion) * dt_c
+            m += (am - (am + bm) * m) * dt
+            h += (ah - (ah + bh) * h) * dt
+            n += (an - (an + bn) * n) * dt
+            if noisy:
+                m += pm * d1[i]
+                h += ph * d2[i]
+                n += pn * d3[i]
 
-            if not (0.0 <= new_m <= 1.0 and 0.0 <= new_h <= 1.0
-                    and 0.0 <= new_n <= 1.0 and -inf < new_v < inf):
-                if new_m < 0.0 or new_m > 1.0:
-                    events.append(ClampEvent(step=lo + i, coord="m", pre_value=new_m))
-                    new_m = min(1.0, max(0.0, new_m))
-                if new_h < 0.0 or new_h > 1.0:
-                    events.append(ClampEvent(step=lo + i, coord="h", pre_value=new_h))
-                    new_h = min(1.0, max(0.0, new_h))
-                if new_n < 0.0 or new_n > 1.0:
-                    events.append(ClampEvent(step=lo + i, coord="n", pre_value=new_n))
-                    new_n = min(1.0, max(0.0, new_n))
+            pm = m * (1.0 - m)
+            ph = h * (1.0 - h)
+            pn = n * (1.0 - n)
+            if not (pm >= 0.0 and ph >= 0.0 and pn >= 0.0 and -inf < v < inf):
+                if m < 0.0 or m > 1.0:
+                    events.append(ClampEvent(step=lo + i, coord="m", pre_value=m))
+                    m = min(1.0, max(0.0, m))
+                    pm = 0.0
+                if h < 0.0 or h > 1.0:
+                    events.append(ClampEvent(step=lo + i, coord="h", pre_value=h))
+                    h = min(1.0, max(0.0, h))
+                    ph = 0.0
+                if n < 0.0 or n > 1.0:
+                    events.append(ClampEvent(step=lo + i, coord="n", pre_value=n))
+                    n = min(1.0, max(0.0, n))
+                    pn = 0.0
                 # Each gate now lies in [0,1] or is NaN, and adding at most 3
                 # to a finite V cannot overflow: the sum is finite exactly
                 # when all four coordinates are.
-                if not isfinite(new_v + new_m + new_h + new_n):
+                if not isfinite(v + m + h + n):
                     raise DivergenceError(step=lo + i)
 
-            state = new_m, new_h, new_n, new_v
-            rows += state
-            m, h, n, v = state
+            rows += m, h, n, v
         buf.fromlist(rows)
         rows.clear()
 

@@ -44,9 +44,25 @@ def _expm1_ratio_oracle(x):
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         d = decimal.Decimal(x)
-        if abs(x) < 1e-10:
+        if abs(d) < decimal.Decimal("1e-10"):
             return 10 - d / 2 + d * d / 120 - d ** 4 / 720000
         return d / ((d / 10).exp() - 1)
+
+
+def _rates_oracle(v):
+    """The six rates at `v` in 60-digit decimal arithmetic, in `rates`' order,
+    with the decimal constants 0.1, 0.07 and 0.01."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d, D = decimal.Decimal(v), decimal.Decimal
+        return (
+            D("0.1") * _expm1_ratio_oracle(25 - d),
+            4 * (-d / 18).exp(),
+            D("0.07") * (-d / 20).exp(),
+            1 / (((30 - d) / 10).exp() + 1),
+            D("0.01") * _expm1_ratio_oracle(10 - d),
+            D("0.125") * (-d / 80).exp(),
+        )
 
 
 class TestRates:
@@ -102,6 +118,19 @@ class TestRates:
                 exact = _expm1_ratio_oracle(signed)
                 err = abs(decimal.Decimal(kinetics._expm1_ratio(signed)) - exact)
                 assert err <= 2 * decimal.Decimal(math.ulp(float(exact))), signed
+
+    def test_rates_within_twenty_ulp(self):
+        # alpha_h, beta_h and beta_n share exp(-v/80); beta_h's e^3 e20^2
+        # holds its eighth power, which costs most. Worst measured on a
+        # 0.01 mV grid: 17.6 ulp (beta_h near -81.4 mV), 13.5 (alpha_m near
+        # -97.1), 10.9 (beta_m near 150); 0.8.0, with one exp per rate,
+        # reached 13.9 (beta_h).
+        worst = dict.fromkeys(RATE_NAMES, 0.0)
+        for v in [*np.arange(-100.0, 150.05, 0.1).tolist(), 10.0, 25.0]:
+            for name, got, exact in zip(RATE_NAMES, rates(v), _rates_oracle(v)):
+                ulps = abs(decimal.Decimal(got) - exact) / decimal.Decimal(math.ulp(float(exact)))
+                worst[name] = max(worst[name], float(ulps))
+        assert max(worst.values()) <= 20.0, worst
 
     def test_expm1_ratio_edges_exact(self):
         for x in (0.0, -0.0, 5e-324, -5e-324):

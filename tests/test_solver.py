@@ -6,6 +6,7 @@ digits from the affine update x + b(x) dt + sigma(x) dB.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,25 +136,26 @@ def _reference_step(x, params, dt, dB=None, step=0):
     the loop must diverge; clamp events, logged at index `step`)."""
     am, bm, ah, bh, an, bn = kinetics.rates(x.V)
     m, h, n, v = x.m, x.h, x.n, x.V
+    nn = n * n
+    ion = (
+        params.gbar_Na * m * m * m * h * (v - params.E_Na)
+        + params.gbar_K * (nn * nn) * (v - params.E_K)
+        + params.gbar_L * (v - params.E_L)
+    )
     new = [
         m + (am - (am + bm) * m) * dt,
         h + (ah - (ah + bh) * h) * dt,
         n + (an - (an + bn) * n) * dt,
     ]
-    ion = (
-        params.gbar_Na * m * m * m * h * (v - params.E_Na)
-        + params.gbar_K * n * n * n * n * (v - params.E_K)
-        + params.gbar_L * (v - params.E_L)
-    )
     if dB is not None:
         for i, (sigma, gate, db) in enumerate(zip(params.sigmas, (m, h, n), dB)):
-            new[i] += sigma * gate * (1.0 - gate) * db
+            new[i] += gate * (1.0 - gate) * (sigma * db)
     events = []
     for i, coord in enumerate("mhn"):
         if new[i] < 0.0 or new[i] > 1.0:
             events.append(ClampEvent(step=step, coord=coord, pre_value=new[i]))
             new[i] = min(1.0, max(0.0, new[i]))
-    new.append(v + (params.current_I - ion) / params.capacitance_C * dt)
+    new.append(v + (params.current_I - ion) * (dt / params.capacitance_C))
     return (new if all(map(math.isfinite, new)) else None), events
 
 
@@ -190,26 +192,29 @@ def _last_overflowing_voltage(closed_form, lo, hi):
 
 
 # The voltages below which the Euler loop's closed forms raise and it calls
-# `kinetics.rates`: beta_h's exp near -7067.8, alpha_m's expm1 near -7072.8
-# and alpha_n's near -7087.8.
+# `kinetics.rates`: alpha_m's expm1 near -7072.8 and alpha_n's near -7087.8.
+# beta_h's exponential is a product of powers of exp(-v/80), which overflows
+# to inf without raising.
 SWITCH_VOLTAGES = {
     name: _last_overflowing_voltage(closed_form, -8000.0, -7000.0)
     for name, closed_form in [
-        ("beta_h", lambda v: 1.0 / (math.exp((30.0 - v) / 10.0) + 1.0)),
         ("alpha_m", lambda v: 0.1 * ((25.0 - v) / math.expm1(0.1 * (25.0 - v)))),
         ("alpha_n", lambda v: 0.01 * ((10.0 - v) / math.expm1(0.1 * (10.0 - v)))),
     ]
 }
 
-# The switch points above; 0.6.0's saturation bounds of kinetics'
-# exponentials (-6970 for beta_h, -6975 for alpha_m), kept as ordinary
-# voltages; the series points and the edges of their old gaps; and a voltage
-# where beta_m's exponential overflows.
+# The switch points above; 0.8.0's switch point of beta_h's own exp (-7067.8)
+# and 0.6.0's saturation bounds of kinetics' exponentials (-6970 for beta_h,
+# -6975 for alpha_m), kept as ordinary voltages; the series points and the
+# edges of their old gaps; and voltages where beta_m's exponential and
+# exp(-v/80) overflow.
 EDGE_VOLTAGES = [
     *_ulp_neighbours(*SWITCH_VOLTAGES.values()),
-    *_ulp_neighbours(-6975.0, -6970.0, 25.0, 10.0, 25.0 - 1e-4, 25.0 + 1e-4,
-                     10.0 - 1e-4, 10.0 + 1e-4),
+    *_ulp_neighbours(
+        _last_overflowing_voltage(lambda v: math.exp((30.0 - v) / 10.0), -8000.0, -7000.0),
+        -6975.0, -6970.0, 25.0, 10.0, 25.0 - 1e-4, 25.0 + 1e-4, 10.0 - 1e-4, 10.0 + 1e-4),
     -13000.0,
+    -60000.0,
 ]
 
 
@@ -222,14 +227,14 @@ def _with_edge_examples(test):
 class TestInlineRates:
     def test_switch_points_are_where_the_closed_forms_first_raise(self, monkeypatch):
         assert {k: round(v, 1) for k, v in SWITCH_VOLTAGES.items()} == {
-            "beta_h": -7067.8, "alpha_m": -7072.8, "alpha_n": -7087.8}
-        # At each the step calls `rates`. beta_h's is the highest, so one
+            "alpha_m": -7072.8, "alpha_n": -7087.8}
+        # At each the step calls `rates`. alpha_m's is the highest, so one
         # float above it no closed form raises and the step stays inline.
         calls = self._count_rates(monkeypatch)
         params = HHParams.classic(current_I=10.0)
         for v in SWITCH_VOLTAGES.values():
             _integrate(kinetics.equilibrium(v), params, 0.01, 1, None)
-        above = math.nextafter(SWITCH_VOLTAGES["beta_h"], math.inf)
+        above = math.nextafter(SWITCH_VOLTAGES["alpha_m"], math.inf)
         _integrate(kinetics.equilibrium(above), params, 0.01, 1, None)
         assert calls == list(SWITCH_VOLTAGES.values())
 
@@ -276,7 +281,7 @@ class TestInlineRates:
         assert run.n_steps == 5000
         assert calls == []
 
-    # At 25 and 10 a closed form divides by zero; at -7100 an exponential
+    # At 25 and 10 a closed form divides by zero; at -7100 alpha_m's expm1
     # overflows.
     @pytest.mark.parametrize("v", [25.0, 10.0, -7100.0])
     def test_series_point_takes_slow_path_by_module_name(self, monkeypatch, v):
@@ -285,9 +290,10 @@ class TestInlineRates:
         _integrate(x, HHParams.classic(current_I=10.0), 0.01, 1, None)
         assert calls == [v]
 
-    # Near the series points and above the first overflow (V < -7067.8)
-    # nothing raises, so the closed forms are the values.
-    @pytest.mark.parametrize("v", [25.0 - 5e-5, 10.0 + 5e-5, -7000.0])
+    # Near the series points and above the first overflow (V < -7072.8)
+    # nothing raises, so the closed forms are the values; at -7070 beta_h's
+    # product e^3 e20^2 is inf and beta_h saturates to 0.
+    @pytest.mark.parametrize("v", [25.0 - 5e-5, 10.0 + 5e-5, -7000.0, -7070.0])
     def test_near_series_point_stays_inline(self, monkeypatch, v):
         calls = self._count_rates(monkeypatch)
         x = kinetics.equilibrium(v)
@@ -410,6 +416,22 @@ class TestSimulate:
         assert run.max_abs_V == np.abs(run.voltage).max()
 
 
+class TestRangeTest:
+    """The loop's range test is its carried noise factors x(1 - x) >= 0."""
+
+    @given(x=st.floats())
+    @example(x=math.nan)
+    @example(x=math.inf)
+    @example(x=-math.inf)
+    @example(x=0.0)
+    @example(x=-0.0)
+    @example(x=5e-324)
+    @example(x=-5e-324)
+    @example(x=math.nextafter(1.0, 2.0))
+    def test_noise_factor_nonnegative_exactly_on_unit_interval(self, x):
+        assert (x * (1.0 - x) >= 0.0) == (0.0 <= x <= 1.0)
+
+
 class TestBlocks:
     """`_integrate` runs in blocks of `solver._BLOCK_STEPS` steps; the result
     must not depend on where the seams fall."""
@@ -476,6 +498,22 @@ class TestBlocks:
         traj, events = _integrate(eq0, params, 0.01, len(bad), bad)
         assert traj.tobytes() == np.array(rows).tobytes()
         assert events == ref_events
+
+    @pytest.mark.parametrize("step", [0, BLOCK + 3])
+    def test_zero_sigma_times_inf_increment_diverges_silently(self, eq0, clamp_heavy, step):
+        # sigma_2 dB_2 = 0 * inf is NaN, so h turns NaN and the run diverges
+        # at that step, as Python's product does it: without a warning.
+        params, increments = clamp_heavy
+        params = dataclasses.replace(params, sigma_2=0.0)
+        bad = increments.copy()
+        bad[step, 1] = math.inf
+        _, _, diverged = _reference_run(eq0, params, 0.01, bad)
+        assert diverged == step
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError) as err:
+                _integrate(eq0, params, 0.01, len(bad), bad)
+        assert err.value.step == step
 
     def test_divergence_step_is_global(self, eq0, clamp_heavy):
         params, increments = clamp_heavy

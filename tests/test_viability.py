@@ -260,7 +260,7 @@ class TestCheckViability:
         expected = {
             "points_checked": 4578,
             "interior_points_checked": 2625,
-            "max_drift_violation": -3.8715905910348355e-05,
+            "max_drift_violation": -3.871590591034836e-05,
             "max_diffusion_violation": 0.0,
             "drift_tolerance": 6.433296268825178e-11,
             "diffusion_tolerance": 1e-12,
