@@ -104,19 +104,22 @@ def bifurcation_sweep(
     refractory: float = DEFAULT_REFRACTORY,
 ) -> SweepResult:
     """Deterministic spike counts across applied currents, each run started
-    from the quiescent equilibrium; the sigmas of `params` are ignored."""
+    from the quiescent equilibrium; the sigmas of `params` are ignored. Each
+    run keeps its voltage alone (`solver.simulate_voltage`)."""
     currents = [float(i) for i in I_values]
     if not currents:
         raise ValueError("I_values must not be empty")
     x0 = equilibrium(0.0)
+    grid = config.grid
     rows = []
     for current in sorted(currents):
-        run = solver_mod.simulate(
+        voltage = solver_mod.simulate_voltage(
             x0,
             replace(params, current_I=current, sigma_1=0.0, sigma_2=0.0, sigma_3=0.0),
             config,
         )
-        rows.append((current, detect_spikes(run, threshold, refractory).size))
+        spikes = spike_times_from_trace(grid, voltage, threshold, refractory)
+        rows.append((current, spikes.size))
     zero = [i for i, c in rows if c == 0]
     single = [i for i, c in rows if c == 1]
     return SweepResult(
@@ -290,9 +293,9 @@ def stage_switch_run(
         raise ValueError(
             f"T={config.T} must be a whole number of {_WINDOW_MS} ms windows"
         )
-    run = solver_mod.simulate(equilibrium(0.0), params, config)
+    voltage = solver_mod.simulate_voltage(equilibrium(0.0), params, config)
     counts = [0] * n_windows
-    for t in detect_spikes(run, threshold, refractory):
+    for t in spike_times_from_trace(config.grid, voltage, threshold, refractory):
         idx = min(int(t // _WINDOW_MS), n_windows - 1)
         counts[idx] += 1
     labels = tuple(classify_spike_count(c) for c in counts)

@@ -45,8 +45,13 @@ of rows; at the end of the block the rows move into a flat `array("d")` in
 one `fromlist` call, and the trajectory is handed out as an
 (n_steps + 1, 4) numpy view of that array, without a copy. The row list
 keeps a block's floats alive until then, which is why blocks are not
-longer: at 4096 steps they raised a bifurcation sweep's peak memory by
-~0.5 MB.
+longer: at 4096 steps they raised the peak memory of a 5000-step
+four-column run by ~0.5 MB.
+
+Callers that read V alone (spike counts: the current sweep and the windowed
+stage labels) go through `simulate_voltage`, for which the same loop stores
+one float per step, V, and hands out an (n_steps + 1,) view. Every step is
+computed as for the full rows, so V is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -157,13 +162,17 @@ def _integrate(
     dt: float,
     n_steps: int,
     increments: np.ndarray | None,
+    *,
+    voltage_only: bool = False,
 ) -> tuple[np.ndarray, list[ClampEvent]]:
-    """The integration loop behind `simulate` and `convergence_probe`: Euler
-    steps from `x0`, each gate clamped back onto [0,1] and logged when its raw
-    proposal leaves it.
+    """The integration loop behind `simulate`, `simulate_voltage` and
+    `convergence_probe`: Euler steps from `x0`, each gate clamped back onto
+    [0,1] and logged when its raw proposal leaves it.
 
     `increments` has one row of driver increments per step, or is None for a
-    noise-free run. Returns (trajectory, clamp events).
+    noise-free run. Returns (trajectory, clamp events): the trajectory is the
+    (n_steps + 1, 4) rows (m, h, n, V), or with `voltage_only` the
+    (n_steps + 1,) column V alone, which is all that is stored then.
     """
     I = params.current_I
     dt_c = dt / params.capacitance_C
@@ -177,7 +186,7 @@ def _integrate(
     # The noise factors x(1 - x), carried from step to step; each is >= 0
     # exactly when its gate lies in [0,1], so they are the range test too.
     pm, ph, pn = m * (1.0 - m), h * (1.0 - h), n * (1.0 - n)
-    buf = array("d", (m, h, n, v))
+    buf = array("d", (v,) if voltage_only else (m, h, n, v))
     rows: list[float] = []
     events: list[ClampEvent] = []
     noisy = increments is not None
@@ -247,11 +256,15 @@ def _integrate(
                 if not isfinite(v + m + h + n):
                     raise DivergenceError(step=lo + i)
 
-            rows += m, h, n, v
+            if voltage_only:
+                rows.append(v)
+            else:
+                rows += m, h, n, v
         buf.fromlist(rows)
         rows.clear()
 
-    return np.frombuffer(buf).reshape(n_steps + 1, 4), events
+    traj = np.frombuffer(buf)
+    return (traj if voltage_only else traj.reshape(n_steps + 1, 4)), events
 
 
 def require_young_hurst(H: float) -> None:
@@ -300,6 +313,16 @@ def simulate(x0: State, params: HHParams, config: SolverConfig) -> SimulationRes
         gate_pre_clamp_min=float(min(gates)),
         gate_pre_clamp_max=float(max(gates)),
     )
+
+
+def simulate_voltage(x0: State, params: HHParams, config: SolverConfig) -> np.ndarray:
+    """V alone of `simulate(x0, params, config)`, bit for bit, on `config.grid`:
+    the same run, driver and divergence, without the gate trajectory and the
+    `SimulationResult` bookkeeping."""
+    require_in_domain(x0)
+    voltage, _ = _integrate(x0, params, config.dt, config.n_steps,
+                            _driver_increments(params, config), voltage_only=True)
+    return voltage
 
 
 @dataclass(frozen=True)

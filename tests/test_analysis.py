@@ -2,6 +2,7 @@
 and windowed stage labeling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,23 @@ class TestBifurcationSweep:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             bifurcation_sweep([], HHParams.classic(), SolverConfig())
+
+    # A one-current, 5000-step sweep peaked at 121 kB, its V column, grid
+    # and one block of row floats; holding the (5001, 4) trajectory of
+    # `simulate` instead peaked at 295 kB.
+    SWEEP_PEAK_BOUND = 160_000
+
+    @pytest.mark.parametrize("current", [0.0, 10.0])
+    def test_sweep_keeps_no_gate_trajectory(self, current):
+        config = SolverConfig(T=50.0, dt=0.01)
+        bifurcation_sweep([current], HHParams.classic(), config)
+        tracemalloc.start()
+        try:
+            bifurcation_sweep([current], HHParams.classic(), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.SWEEP_PEAK_BOUND
 
     def test_csv_format(self, tmp_path):
         sweep = bifurcation_sweep([2.0, 10.0], HHParams.classic(),
@@ -265,6 +283,6 @@ class TestStageSwitching:
         def no_run(*args):
             raise AssertionError("integrated before validating the horizon")
 
-        monkeypatch.setattr(solver, "simulate", no_run)
+        monkeypatch.setattr(solver, "simulate_voltage", no_run)
         with pytest.raises(ValueError, match="whole number of 50.0 ms windows"):
             stage_switch_run(classic_i10, SolverConfig(T=T, dt=0.01))

@@ -247,6 +247,25 @@ class TestSweepCommand:
         assert len(lines) == 5
         assert summary["I1_hat"] == "1"
 
+    # The README's sweep, `sweep --I-min 0 --I-max 12 --I-step 0.5`:
+    # current -> spike count on the default 50 ms, dt 0.01 run.
+    README_TABLE = {
+        0.0: 0, 0.5: 0, 1.0: 0, 1.5: 0, 2.0: 0, 2.5: 1, 3.0: 1, 3.5: 1, 4.0: 1,
+        4.5: 1, 5.0: 1, 5.5: 1, 6.0: 2, 6.5: 3, 7.0: 3, 7.5: 3, 8.0: 3,
+        8.5: 4, 9.0: 4, 9.5: 4, 10.0: 4, 10.5: 4, 11.0: 4, 11.5: 4, 12.0: 4,
+    }
+
+    def test_readme_sweep_is_pinned(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code, summary, _ = run_cli(
+            ["sweep", "--I-min", "0", "--I-max", "12", "--I-step", "0.5",
+             "--out", str(out)], capsys
+        )
+        assert code == 0
+        assert (summary["points"], summary["I1_hat"], summary["I2_hat"]) == ("25", "2", "5.5")
+        expected = ["I,spike_count"] + [f"{i:.17g},{c}" for i, c in self.README_TABLE.items()]
+        assert (out / "sweep.csv").read_text().splitlines() == expected
+
     def test_empty_range_is_usage_error(self, tmp_path, capsys):
         code, _, captured = run_cli(
             ["sweep", "--I-min", "5", "--I-max", "1", "--out", str(tmp_path / "x")],

@@ -23,6 +23,7 @@ from frachh.solver import (
     _integrate,
     convergence_probe,
     simulate,
+    simulate_voltage,
     write_clamp_csv,
     write_trajectory_csv,
 )
@@ -522,6 +523,75 @@ class TestBlocks:
         with pytest.raises(DivergenceError) as err:
             _integrate(eq0, params, 0.01, len(bad), bad)
         assert err.value.step == self.BLOCK + 5
+
+
+def _voltage_outcome(run):
+    """The bytes of the V column that `run()` returns, or the step of its
+    `DivergenceError`."""
+    try:
+        return "finished", run().tobytes()
+    except DivergenceError as err:
+        return "diverged", err.step
+
+
+class TestVoltageOnly:
+    """`simulate_voltage` is `simulate(...).voltage`, byte for byte, through
+    the same loop storing V alone."""
+
+    def _assert_same_voltage(self, x0, params, config):
+        full = _voltage_outcome(lambda: simulate(x0, params, config).voltage)
+        alone = _voltage_outcome(lambda: simulate_voltage(x0, params, config))
+        assert alone == full
+        return full
+
+    @pytest.mark.parametrize("current", range(13))
+    def test_noise_free_currents(self, eq0, current):
+        params = HHParams.classic(current_I=float(current))
+        outcome = self._assert_same_voltage(eq0, params, SolverConfig(T=50.0, dt=0.01))
+        assert outcome[0] == "finished"
+
+    @pytest.mark.parametrize("sigma, hurst, seed", [(0.25, 0.75, 0), (10.0, 0.55, 1)])
+    def test_noisy_runs(self, eq0, sigma, hurst, seed):
+        params = HHParams.classic(current_I=10.0, sigma=sigma)
+        config = SolverConfig(T=50.0, dt=0.01, hurst_H=hurst, seed=seed)
+        self._assert_same_voltage(eq0, params, config)
+
+    # Either side of the loop's block seams at 1024 and 2048 steps.
+    @pytest.mark.parametrize("n_steps", [1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("sigma", [0.0, 10.0])
+    def test_block_edges(self, eq0, n_steps, sigma):
+        params = HHParams.classic(current_I=10.0, sigma=sigma)
+        config = SolverConfig(T=n_steps * 0.01, dt=0.01, hurst_H=0.55, seed=0)
+        assert config.n_steps == n_steps
+        outcome = self._assert_same_voltage(eq0, params, config)
+        assert len(outcome[1]) == 8 * (n_steps + 1)
+
+    def test_divergence_at_the_same_step(self, eq0, classic_i10):
+        config = SolverConfig(T=50.0, dt=0.1)
+        outcome = self._assert_same_voltage(eq0, classic_i10, config)
+        assert outcome[0] == "diverged"
+
+    def test_same_clamp_log_as_full_rows(self, eq0):
+        params = HHParams.classic(current_I=10.0, sigma=10.0)
+        config = SolverConfig(T=50.0, dt=0.01, hurst_H=0.55, seed=1)
+        increments = _driver_increments(params, config)
+        traj, events = _integrate(eq0, params, 0.01, config.n_steps, increments)
+        voltage, v_events = _integrate(eq0, params, 0.01, config.n_steps, increments,
+                                       voltage_only=True)
+        assert voltage.shape == (config.n_steps + 1,)
+        assert voltage.tobytes() == traj[:, 3].tobytes()
+        assert v_events == events and len(events) > 700
+
+    def test_start_outside_box_rejected(self, classic_i10):
+        with pytest.raises(ValueError):
+            simulate_voltage(State(-0.1, 0.5, 0.5, 0.0), classic_i10,
+                             SolverConfig(T=1.0, dt=0.01))
+
+    @settings(max_examples=30, deadline=None)
+    @given(current=st.floats(-20.0, 40.0), dt=st.floats(0.002, 0.2))
+    def test_any_current_and_step(self, eq0, current, dt):
+        params = HHParams.classic(current_I=current)
+        self._assert_same_voltage(eq0, params, SolverConfig(T=300 * dt, dt=dt))
 
 
 class TestConvergenceProbe:
