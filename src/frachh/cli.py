@@ -13,9 +13,10 @@ voltage trace) in the chosen output directory, with a machine-readable
 `key=value` summary on stdout.
 
 Exit codes have one rule, applied only in `main`: a value the CLI or the
-library rejects (`ValueError`) is one `error:` line on stderr and exit 2, and
-each subcommand makes every call that can reject a value before its first
-write; a failed run (divergence, I/O), viability audit or voltage bound is 1.
+library rejects (`ValueError`), a grid of more than `_MAX_STEPS` steps
+included, is one `error:` line on stderr and exit 2, and each subcommand
+makes every call that can reject a value before its first write; a failed
+run (divergence, I/O), viability audit or voltage bound is 1.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ from .solver import SolverConfig
 
 # Most currents one `sweep` simulates.
 _SWEEP_MAX_POINTS = 100_000
+
+# Most grid steps one integration, or one `fbm` driver, may have: 100 times
+# the README's 1000 ms run (10^5 steps at dt = 0.01), a 320 MB (m, h, n, V)
+# trajectory. Any finite T / dt passes `SolverConfig`, so without a cap a
+# tiny dt asks for work and memory without bound.
+_MAX_STEPS = 10_000_000
 
 
 # Config-file keys that differ from the library field they set.
@@ -106,6 +113,19 @@ def build_run_config(args: argparse.Namespace) -> dict:
     return config
 
 
+def _require_steps(steps: int, source: str) -> None:
+    if steps > _MAX_STEPS:
+        raise ValueError(f"{source} gives {steps} steps, more than {_MAX_STEPS}")
+
+
+def _solver_config(config: dict) -> SolverConfig:
+    """The run's `SolverConfig`, held to `_MAX_STEPS` steps."""
+    solver_config = _library_config(config, SolverConfig)
+    _require_steps(solver_config.n_steps,
+                   f"T={solver_config.T} / dt={solver_config.dt}")
+    return solver_config
+
+
 # ---------------------------------------------------------------------------
 # Output helpers
 # ---------------------------------------------------------------------------
@@ -163,8 +183,7 @@ def write_voltage_svg(result: solver.SimulationResult, path) -> None:
 
 def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
     params = _library_config(config, HHParams)
-    result = solver.simulate(equilibrium(0.0), params,
-                             _library_config(config, SolverConfig))
+    result = solver.simulate(equilibrium(0.0), params, _solver_config(config))
     spikes = analysis.detect_spikes(result, config["threshold"], config["refractory"])
     holder = (None if params.is_deterministic
               else "none" if len(result.trajectory) < analysis._MIN_SAMPLES
@@ -206,8 +225,7 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
             f"empty current range [{args.I_min}, {args.I_max}] step {args.I_step}"
         )
     sweep = analysis.bifurcation_sweep(
-        currents, _library_config(config, HHParams),
-        _library_config(config, SolverConfig),
+        currents, _library_config(config, HHParams), _solver_config(config),
         config["threshold"], config["refractory"],
     )
     out = _out_dir(config)
@@ -220,6 +238,7 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
 
 
 def cmd_fbm(args: argparse.Namespace, config: dict) -> int:
+    _require_steps(args.N, f"--N {args.N}")
     driver = fbm.sample_driver(args.N, config["T"], config["hurst"], config["seed"],
                                config["generator"])
     out = _out_dir(config)
@@ -252,8 +271,7 @@ def cmd_viability(args: argparse.Namespace, config: dict) -> int:
 
 def cmd_series(args: argparse.Namespace, config: dict) -> int:
     series = analysis.simulate_recording_series(
-        args.hurst_values, _library_config(config, HHParams),
-        _library_config(config, SolverConfig),
+        args.hurst_values, _library_config(config, HHParams), _solver_config(config),
     )
     out = _out_dir(config)
     analysis.write_series_csv(series, out / "series.csv")

@@ -6,8 +6,9 @@ depolarization positive (rest at V = 0). Time is in ms, so every rate carries
 1/ms; currents are uA/cm^2 and conductances mS/cm^2.
 
 State layout is (m, h, n, V): sodium activation, sodium inactivation,
-potassium activation, then voltage. All array-valued operations and the CSV
-writers in `solver` stick to this ordering.
+potassium activation, then voltage. All array-valued operations, the
+solver's trajectory array included, stick to this ordering; the trajectory
+CSV puts t and V first (`t,V,m,h,n`).
 """
 
 from __future__ import annotations

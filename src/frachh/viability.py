@@ -14,8 +14,9 @@ non-explosion argument for the unbounded V direction needs. Violations are
 data, not errors; the report records the worst offenders.
 
 An audit builds the sweep and, from one face rule (`_face_signs`) applied to
-all its points at once, each point's generators as the rows of a (3, 4)
-matrix, a zero row standing for a gate on no face. It calls the diffusion
+all its points at once, each gate's sign at each point, 0 for a gate on no
+face; the generator sign_i e_i pairs with a field only through sign_i times
+the field's row i, so no generator is built. It calls the diffusion
 field once at each of the 7203 points and the drift field once at each of the
 4578 boundary points, stacks the results into (7203, 4, 3) and (4578, 4)
 arrays, and takes every inner product, scale, maximum and worst point as a
@@ -145,16 +146,14 @@ def check_viability(
     states = list(_sweep())
     signs = _face_signs(np.array([x.gates for x in states]))
     boundary = np.flatnonzero(signs.any(axis=1))
-    # Point p's rays are the rows of rays[p]: row i is its generator on gate
-    # i's face, or zero where gate i is on no face.
-    rays = np.where(np.eye(3, 4, dtype=bool), signs[:, :, None], 0.0)
 
     sigma = _field_values(diffusion_fn, states, (4, 3))
     b = _field_values(drift_fn, [states[i] for i in boundary], (4,))
 
     with np.errstate(invalid="ignore", over="ignore"):
-        # Drift: <s, b> per ray; zero rows never win the maximum.
-        sb = (rays[boundary] @ b[:, :, None])[:, :, 0]
+        # Drift: <s, b> = sign_i b_i per generator, + 0.0 making a -0.0 into
+        # +0.0; a gate on no face never wins the maximum.
+        sb = signs[boundary] * b[:, :3] + 0.0
         sb[~np.isfinite(sb) | ~np.isfinite(b).all(axis=1)[:, None]] = math.inf
         drift_scale = float(np.abs(sb[np.isfinite(sb)]).max(initial=0.0))
         sb[signs[boundary] == 0.0] = -math.inf
@@ -162,14 +161,16 @@ def check_viability(
         max_drift = float(sb.flat[worst])
         worst_drift_point = states[boundary[worst // 3]]
 
-        # Diffusion: the voltage row and <s, sigma> at every point (zero rows,
-        # and so interior points, add nothing).
+        # Diffusion: the voltage row and <s, sigma_k> = sign_i sigma_ik at
+        # every point (a gate on no face, and so an interior point, adds
+        # nothing).
         magnitude = np.abs(sigma)
         peak = magnitude.max(axis=(1, 2))
         finite = np.isfinite(peak)
         diff_scale = float(peak[finite].max(initial=0.0))
         diff = np.maximum(
-            magnitude[:, 3, :].max(axis=1), np.abs(rays @ sigma).max(axis=(1, 2))
+            magnitude[:, 3, :].max(axis=1),
+            np.abs(signs[:, :, None] * sigma[:, :3]).max(axis=(1, 2)),
         )
         diff[~finite] = math.inf
         worst = int(np.argmax(diff))

@@ -6,6 +6,15 @@ from frachh.kinetics import HHParams, State, equilibrium, ionic_current
 from frachh.solver import _integrate
 
 
+@pytest.fixture(autouse=True)
+def cold_memo():
+    """Every test starts and ends with an empty driver memo, so none passes
+    only because another ran first; a test that requests it gets the dict."""
+    fbm._spectral_memo.clear()
+    yield fbm._spectral_memo
+    fbm._spectral_memo.clear()
+
+
 @pytest.fixture(scope="session")
 def eq0():
     return equilibrium(0.0)

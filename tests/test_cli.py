@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import frachh
-from frachh import cli
+from frachh import cli, fbm, solver
 from frachh.cli import (
     CONFIG_DEFAULTS,
     build_parser,
@@ -446,6 +446,36 @@ def test_bad_solver_config_prints_one_error_line(tmp_path, argv, code, named):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert named in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag, at_cap, past_cap, source",
+    [
+        (["simulate", "--dt", "0.01"], "--T", "3", "3.01", "T=3.01 / dt=0.01"),
+        (["sweep", "--I-max", "0", "--dt", "0.01"], "--T", "3", "3.01", "T=3.01 / dt=0.01"),
+        (["series", "0.9", "--sigma", "0.25", "--dt", "0.01"], "--T", "3", "3.01",
+         "T=3.01 / dt=0.01"),
+        (["fbm"], "--N", "300", "301", "--N 301"),
+    ],
+    ids=["simulate", "sweep", "series", "fbm"],
+)
+def test_step_limit_is_inclusive(tmp_path, capsys, monkeypatch, argv, flag, at_cap,
+                                 past_cap, source):
+    monkeypatch.setattr(cli, "_MAX_STEPS", 300)
+    assert main([*argv, flag, at_cap, "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("integrated or sampled past the cap")
+
+    monkeypatch.setattr(solver, "_integrate", no_work)
+    monkeypatch.setattr(fbm, "sample_driver", no_work)
+    out = tmp_path / "x"
+    code, summary, captured = run_cli([*argv, flag, past_cap, "--out", str(out)], capsys)
+    assert code == 2
+    assert captured.err == f"error: {source} gives 301 steps, more than 300\n"
+    assert not summary
     assert not out.exists()
 
 

@@ -195,13 +195,6 @@ def _expand_factor(factor, n_grid):
     return upper.T
 
 
-@pytest.fixture
-def cold_memo():
-    fbm._spectral_memo.clear()
-    yield fbm._spectral_memo
-    fbm._spectral_memo.clear()
-
-
 def _count_calls(monkeypatch, owner, name):
     calls = []
     original = getattr(owner, name)
@@ -336,11 +329,10 @@ class TestSpectralMemo:
         assert cold_memo[("wood_chan", 1, 0.75)] is scale
 
     @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
-    def test_scale_bit_identical_to_concatenated_build(self, monkeypatch, hurst):
+    def test_scale_bit_identical_to_concatenated_build(self, hurst):
         # The build fills one complex buffer in chunks, transforms it in place
         # and clips and weighs the eigenvalues in place; the reference
         # concatenates the row and copies at every stage.
-        monkeypatch.setattr(fbm, "_spectral_memo", {})
         for n_grid in (1, 2, 3, 5000, 100000):
             m = _smooth_size(n_grid)
             tracemalloc.start()
