@@ -13,10 +13,12 @@ voltage trace) in the chosen output directory, with a machine-readable
 `key=value` summary on stdout.
 
 Exit codes have one rule, applied only in `main`: a value the CLI or the
-library rejects (`ValueError`), a grid of more than `_MAX_STEPS` steps
-included, is one `error:` line on stderr and exit 2, and each subcommand
-makes every call that can reject a value before its first write; a failed
-run (divergence, I/O), viability audit or voltage bound is 1.
+library rejects (`ValueError`) is one `error:` line on stderr and exit 2, and
+each subcommand makes every call that can reject a value before its first
+write; a failed run (divergence, I/O), viability audit or voltage bound is 1.
+Rejected values include work past the limits: more than `_MAX_STEPS` grid
+steps in one integration or `fbm` driver, or Euler steps in one call, and a
+Cholesky factor larger than a trajectory of `_MAX_STEPS` steps.
 """
 
 from __future__ import annotations
@@ -36,10 +38,12 @@ from .solver import SolverConfig
 # Most currents one `sweep` simulates.
 _SWEEP_MAX_POINTS = 100_000
 
-# Most grid steps one integration, or one `fbm` driver, may have: 100 times
-# the README's 1000 ms run (10^5 steps at dt = 0.01), a 320 MB (m, h, n, V)
+# Most grid steps one integration, or one `fbm` driver, may have, and most
+# Euler steps one call may take over all its integrations: 100 times the
+# README's 1000 ms run (10^5 steps at dt = 0.01), a 320 MB (m, h, n, V)
 # trajectory. Any finite T / dt passes `SolverConfig`, so without a cap a
-# tiny dt asks for work and memory without bound.
+# tiny dt asks for work and memory without bound. A Cholesky factor may take
+# those 320 MB too (8 `fbm._factor_size(N)` bytes, N <= 8880).
 _MAX_STEPS = 10_000_000
 
 
@@ -118,12 +122,25 @@ def _require_steps(steps: int, source: str) -> None:
         raise ValueError(f"{source} gives {steps} steps, more than {_MAX_STEPS}")
 
 
-def _solver_config(config: dict) -> SolverConfig:
-    """The run's `SolverConfig`, held to `_MAX_STEPS` steps."""
+def _solver_config(config: dict, runs: int = 1, label: str = "") -> SolverConfig:
+    """The call's `SolverConfig`, held to `_MAX_STEPS` steps in one
+    integration and in its `runs` integrations together, which `label`
+    names."""
     solver_config = _library_config(config, SolverConfig)
-    _require_steps(solver_config.n_steps,
-                   f"T={solver_config.T} / dt={solver_config.dt}")
+    grid = f"T={solver_config.T} / dt={solver_config.dt}"
+    _require_steps(solver_config.n_steps, grid)
+    _require_steps(runs * solver_config.n_steps, f"{label} at {grid}")
     return solver_config
+
+
+def _require_factor(generator: str, N: int) -> None:
+    """Refuse a Cholesky driver whose factor takes more bytes than a
+    trajectory of `_MAX_STEPS` steps."""
+    if generator != fbm.GENERATOR_CHOLESKY:
+        return
+    size, cap = 8 * fbm._factor_size(N), 32 * _MAX_STEPS
+    if size > cap:
+        raise ValueError(f"a Cholesky factor at N={N} takes {size} bytes, more than {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +200,10 @@ def write_voltage_svg(result: solver.SimulationResult, path) -> None:
 
 def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
     params = _library_config(config, HHParams)
-    result = solver.simulate(equilibrium(0.0), params, _solver_config(config))
+    solver_config = _solver_config(config)
+    if not params.is_deterministic:
+        _require_factor(solver_config.generator, solver_config.n_steps)
+    result = solver.simulate(equilibrium(0.0), params, solver_config)
     spikes = analysis.detect_spikes(result, config["threshold"], config["refractory"])
     holder = (None if params.is_deterministic
               else "none" if len(result.trajectory) < analysis._MIN_SAMPLES
@@ -224,9 +244,11 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
         raise ValueError(
             f"empty current range [{args.I_min}, {args.I_max}] step {args.I_step}"
         )
+    params = _library_config(config, HHParams)
+    solver_config = _solver_config(config, currents.size,
+                                   f"a sweep of {currents.size} currents")
     sweep = analysis.bifurcation_sweep(
-        currents, _library_config(config, HHParams), _solver_config(config),
-        config["threshold"], config["refractory"],
+        currents, params, solver_config, config["threshold"], config["refractory"],
     )
     out = _out_dir(config)
     analysis.write_sweep_csv(sweep, out / "sweep.csv")
@@ -239,6 +261,7 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
 
 def cmd_fbm(args: argparse.Namespace, config: dict) -> int:
     _require_steps(args.N, f"--N {args.N}")
+    _require_factor(config["generator"], args.N)
     driver = fbm.sample_driver(args.N, config["T"], config["hurst"], config["seed"],
                                config["generator"])
     out = _out_dir(config)
@@ -270,9 +293,12 @@ def cmd_viability(args: argparse.Namespace, config: dict) -> int:
 
 
 def cmd_series(args: argparse.Namespace, config: dict) -> int:
-    series = analysis.simulate_recording_series(
-        args.hurst_values, _library_config(config, HHParams), _solver_config(config),
-    )
+    params = _library_config(config, HHParams)
+    runs = len(args.hurst_values)
+    solver_config = _solver_config(config, runs, f"a series of {runs} recordings")
+    if not params.is_deterministic:
+        _require_factor(solver_config.generator, solver_config.n_steps)
+    series = analysis.simulate_recording_series(args.hurst_values, params, solver_config)
     out = _out_dir(config)
     analysis.write_series_csv(series, out / "series.csv")
     for k, est in enumerate(series.estimates, start=1):

@@ -1,17 +1,19 @@
 """Exact-covariance fractional Brownian motion sampling on uniform grids.
 
-Both generators share one contract: `_SAMPLERS[generator](N, T, H, seed,
-n_paths)` returns an (n_paths, N) array of fBm increments on the uniform grid
-of N steps over [0, T], one path a row. Path i is made from the i-th run of
-standard normals of `default_rng(seed)`, so the first j paths of a draw are
-the j paths of a smaller draw with the same seed. `sample_driver` checks the
-arguments and takes the three gate components as the first three paths.
+Both generators share one contract: `_SAMPLERS[generator](N, H, seed,
+n_paths)` returns an (n_paths, N) array of unit-grid fractional Gaussian
+noise, one path a row. Path i is made from the i-th run of standard normals
+of `default_rng(seed)`, so the first j paths of a draw are the j paths of a
+smaller draw with the same seed. `sample_driver` checks the arguments, takes
+the three gate components as the first three paths and scales them to the
+step T/N by (T/N)^H, which is fBm's self-similarity; it is the one place a
+horizon enters.
 
-* Cholesky: path i is L z_i scaled to the step T/N, L the lower triangular
-  factor of the unit-grid increment covariance and z_i the i-th run of N
-  normals. The covariance is Toeplitz, so the Schur algorithm builds L
-  straight from the autocovariance, one column per O(N) step, with no N x N
-  matrix and no second copy. The factor is held as row blocks of U = L^T,
+* Cholesky: path i is L z_i, L the lower triangular factor of the
+  unit-grid increment covariance and z_i the i-th run of N normals. The
+  covariance is Toeplitz, so the Schur algorithm builds L straight from the
+  autocovariance, one column per O(N) step, with no N x N matrix and no
+  second copy. The factor is held as row blocks of U = L^T,
   `_BLOCK_ROWS` rows each: block j holds rows [jb, jb+b) and columns
   [jb, N) of U in C order, so column k of L is one contiguous slice, and
   the corner of a diagonal block below its diagonal is zero. At N = 1000
@@ -43,13 +45,10 @@ cap: the oldest are dropped once their total passes `_MEMO_MAX_BYTES` (16
 MiB, three factors at N = 1000), and the newest is always kept, so a factor
 larger than the cap is held alone.
 
-Both generators are deterministic functions of (N, T, H, seed). Bit-identical
+Both generators are deterministic functions of (N, H, seed). Bit-identical
 output across platforms is not promised, since Wood-Chan uses the FFT and
-Cholesky BLAS through numpy; statistical properties are.
-
-This module needs numpy alone. The module attribute `fbm.scipy` still imports
-`scipy.linalg` on first access (PEP 562), so code that wraps names reached
-through it can patch it, but nothing in frachh calls through it.
+Cholesky BLAS through numpy; statistical properties are. This module needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ import numpy as np
 
 GENERATOR_CHOLESKY = "cholesky"
 GENERATOR_WOOD_CHAN = "wood_chan"
-GENERATORS = (GENERATOR_CHOLESKY, GENERATOR_WOOD_CHAN)
 
 # Relative tolerance for circulant eigenvalues that are negative only through
 # floating-point rounding; anything more negative is an error.
@@ -91,16 +89,8 @@ class FactorizationError(RuntimeError):
         self.pivot_index = pivot_index
 
 
-def __getattr__(name: str):
-    """`fbm.scipy`: imports `scipy.linalg` on first access and binds it.
-
-    Nothing in frachh calls through this name; it is kept for code that
-    patches `fbm.scipy`, such as perfbench's per-layer wrappers."""
-    if name != "scipy":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    global scipy
-    import scipy.linalg
-    return scipy
+# Replaced by perfbench's per-layer wrapper; nothing in frachh reads it.
+scipy = None
 
 
 def require_seed(seed) -> None:
@@ -291,9 +281,9 @@ def _unit_factor(N: int, H: float) -> np.ndarray:
     )
 
 
-def _cholesky_increments(N: int, T: float, H: float, seed, n_paths: int) -> np.ndarray:
-    """(n_paths, N) increment paths, path i `L z_i` scaled to the step T/N, L
-    the unit-grid factor and z_i the i-th run of N normals.
+def _cholesky_increments(N: int, H: float, seed, n_paths: int) -> np.ndarray:
+    """(n_paths, N) unit-grid fGn paths, path i `L z_i`, L the unit-grid
+    factor and z_i the i-th run of N normals.
 
     Path i is the row z_i^T U, U = L^T, summed block by block: the first
     block's product `z_i[:b] @ block` is written into the row, and each later
@@ -314,7 +304,6 @@ def _cholesky_increments(N: int, T: float, H: float, seed, n_paths: int) -> np.n
         for z_row, out_row in zip(z[:, lo : lo + len(block)], out[:, lo:]):
             np.matmul(z_row, block, out=part)
             out_row += part
-    out *= (T / N) ** H
     return out
 
 
@@ -414,22 +403,17 @@ def _unit_fgn(N: int, H: float, seed, n_paths: int) -> np.ndarray:
     return out
 
 
-def _wood_chan_increments(N: int, T: float, H: float, seed, n_paths: int) -> np.ndarray:
-    """(n_paths, N) increment paths: unit-grid fGn scaled to the step T/N."""
-    out = _unit_fgn(N, H, seed, n_paths)
-    out *= (T / N) ** H
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Three-component driver
 # ---------------------------------------------------------------------------
 
-# Looked up at call time, so a replaced entry reaches every driver.
+# Unit-grid samplers, looked up at call time, so a replaced entry reaches
+# every driver.
 _SAMPLERS = {
     GENERATOR_CHOLESKY: _cholesky_increments,
-    GENERATOR_WOOD_CHAN: _wood_chan_increments,
+    GENERATOR_WOOD_CHAN: _unit_fgn,
 }
+GENERATORS = tuple(_SAMPLERS)
 
 
 def component_seeds(master_seed: int, n: int) -> list[int]:
@@ -444,13 +428,15 @@ def sample_driver(
 ) -> FbmPath:
     """Three mutually independent fBm components on a shared grid, reproducible
     as a whole from `master_seed`: column j of the increments is path j of
-    `_SAMPLERS[generator](N, T, H, master_seed, 3)`."""
+    `_SAMPLERS[generator](N, H, master_seed, 3)` times (T/N)^H."""
     if generator not in _SAMPLERS:
         raise ValueError(f"unknown generator {generator!r}, expected one of {GENERATORS}")
     require_seed(master_seed)
     N, T = _check_grid_args(N, T)
     H = _check_hurst(H)
-    return FbmPath(T=T, increments=_SAMPLERS[generator](N, T, H, master_seed, 3).T)
+    paths = _SAMPLERS[generator](N, H, master_seed, 3)
+    paths *= (T / N) ** H
+    return FbmPath(T=T, increments=paths.T)
 
 
 def _write_csv(path, header: str, template: str, rows) -> None:

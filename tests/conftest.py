@@ -6,6 +6,13 @@ from frachh.kinetics import HHParams, State, equilibrium, ionic_current
 from frachh.solver import _integrate
 
 
+def fbm_increments(generator, N, T, H, seed, n_paths):
+    """(n_paths, N) fBm increments on the grid of N steps over [0, T]: the
+    unit-grid draw of `fbm._SAMPLERS[generator]` times (T/N)^H, as
+    `sample_driver` scales it."""
+    return fbm._SAMPLERS[generator](N, H, seed, n_paths) * (T / N) ** H
+
+
 @pytest.fixture(autouse=True)
 def cold_memo():
     """Every test starts and ends with an empty driver memo, so none passes

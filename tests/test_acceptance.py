@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import fbm_increments
 from frachh import analysis, fbm, solver, viability
 from frachh.kinetics import HHParams, diffusion, equilibrium
 from frachh.solver import SolverConfig
@@ -144,7 +145,7 @@ def test_criterion_4_stochastic_viability(stochastic_runs):
 def test_criterion_5_fbm_generator_correctness(fbm_covariance):
     # (a) Wood-Chan path covariance vs the closed form, 1e4 paths, 10 probes.
     n_grid, horizon, hurst, n_paths = 256, 50.0, 0.75, 10_000
-    inc = fbm._SAMPLERS["wood_chan"](n_grid, horizon, hurst, 303, n_paths)
+    inc = fbm_increments("wood_chan", n_grid, horizon, hurst, 303, n_paths)
     paths = np.cumsum(inc, axis=1)
     grid = np.arange(1, n_grid + 1) * (horizon / n_grid)
     probes = [(15, 15), (15, 63), (31, 127), (63, 255), (255, 255),
@@ -162,8 +163,8 @@ def test_criterion_5_fbm_generator_correctness(fbm_covariance):
     cov_ok = worst_z <= 3.0
 
     # (b) Cross-validation against the Cholesky oracle at N=256, 1e5 paths each.
-    nw = fbm._SAMPLERS["wood_chan"](n_grid, horizon, hurst, 101, 100_000)
-    nc = fbm._SAMPLERS["cholesky"](n_grid, horizon, hurst, 202, 100_000)
+    nw = fbm_increments("wood_chan", n_grid, horizon, hurst, 101, 100_000)
+    nc = fbm_increments("cholesky", n_grid, horizon, hurst, 202, 100_000)
     max_abs = float(
         np.abs(nw.T @ nw / nw.shape[0] - nc.T @ nc / nc.shape[0]).max()
     )
@@ -171,7 +172,7 @@ def test_criterion_5_fbm_generator_correctness(fbm_covariance):
     del nw, nc
 
     # (c) H = 1/2 increments are white: lags 1..5.
-    x = fbm._SAMPLERS["wood_chan"](2 ** 18, float(2 ** 18), 0.5, 3, 1)[0]
+    x = fbm._SAMPLERS["wood_chan"](2 ** 18, 0.5, 3, 1)[0]
     g0 = float(np.mean(x * x))
     bound = 3.0 / math.sqrt(x.size)
     rho = [float(np.mean(x[k:] * x[:-k]) / g0) for k in range(1, 6)]

@@ -450,19 +450,26 @@ def test_bad_solver_config_prints_one_error_line(tmp_path, argv, code, named):
 
 
 @pytest.mark.parametrize(
-    "argv, flag, at_cap, past_cap, source",
+    "argv, flag, at_cap, past_cap, source, cap, steps",
     [
-        (["simulate", "--dt", "0.01"], "--T", "3", "3.01", "T=3.01 / dt=0.01"),
-        (["sweep", "--I-max", "0", "--dt", "0.01"], "--T", "3", "3.01", "T=3.01 / dt=0.01"),
+        (["simulate", "--dt", "0.01"], "--T", "3", "3.01", "T=3.01 / dt=0.01", 300, 301),
+        (["sweep", "--I-max", "0", "--dt", "0.01"], "--T", "3", "3.01", "T=3.01 / dt=0.01",
+         300, 301),
         (["series", "0.9", "--sigma", "0.25", "--dt", "0.01"], "--T", "3", "3.01",
-         "T=3.01 / dt=0.01"),
-        (["fbm"], "--N", "300", "301", "--N 301"),
+         "T=3.01 / dt=0.01", 300, 301),
+        (["fbm"], "--N", "300", "301", "--N 301", 300, 301),
+        # The cap holds for a whole call too: two runs of 150 steps fill it.
+        (["sweep", "--I-max", "1", "--I-step", "1", "--dt", "0.01"], "--T", "1.5", "1.51",
+         "a sweep of 2 currents at T=1.51 / dt=0.01", 300, 302),
+        # Each recording needs 256 samples, so two of 300 steps fill a cap of 600.
+        (["series", "0.9", "0.8", "--sigma", "0.25", "--dt", "0.01"], "--T", "3", "3.01",
+         "a series of 2 recordings at T=3.01 / dt=0.01", 600, 602),
     ],
-    ids=["simulate", "sweep", "series", "fbm"],
+    ids=["simulate", "sweep", "series", "fbm", "sweep-2-currents", "series-2-recordings"],
 )
 def test_step_limit_is_inclusive(tmp_path, capsys, monkeypatch, argv, flag, at_cap,
-                                 past_cap, source):
-    monkeypatch.setattr(cli, "_MAX_STEPS", 300)
+                                 past_cap, source, cap, steps):
+    monkeypatch.setattr(cli, "_MAX_STEPS", cap)
     assert main([*argv, flag, at_cap, "--out", str(tmp_path / "ok")]) == 0
     capsys.readouterr()
 
@@ -474,9 +481,63 @@ def test_step_limit_is_inclusive(tmp_path, capsys, monkeypatch, argv, flag, at_c
     out = tmp_path / "x"
     code, summary, captured = run_cli([*argv, flag, past_cap, "--out", str(out)], capsys)
     assert code == 2
-    assert captured.err == f"error: {source} gives 301 steps, more than 300\n"
+    assert captured.err == f"error: {source} gives {steps} steps, more than {cap}\n"
     assert not summary
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag, at_cap, past_cap, n_grid, cap",
+    [
+        (["simulate", "--sigma", "0.25", "--generator", "cholesky", "--dt", "0.01"],
+         "--T", "0.34", "0.35", 35, 300),
+        # A recording needs 256 samples, so the cap is set where N = 255 fits.
+        (["series", "0.9", "--sigma", "0.25", "--generator", "cholesky", "--dt", "0.01"],
+         "--T", "2.55", "2.56", 256, 12193),
+        (["fbm", "--generator", "cholesky"], "--N", "34", "35", 35, 300),
+    ],
+    ids=["simulate", "series", "fbm"],
+)
+def test_cholesky_factor_limit_is_inclusive(tmp_path, capsys, monkeypatch, argv, flag,
+                                            at_cap, past_cap, n_grid, cap):
+    # A factor may take the 32 bytes a step of a capped trajectory takes.
+    monkeypatch.setattr(cli, "_MAX_STEPS", cap)
+    size = 8 * fbm._factor_size(n_grid)
+    assert 8 * fbm._factor_size(n_grid - 1) <= 32 * cap < size
+    assert main([*argv, flag, at_cap, "--out", str(tmp_path / "ok")]) == 0
+    # Only a Cholesky driver has a factor.
+    wood_chan = ["wood_chan" if a == "cholesky" else a for a in argv]
+    assert main([*wood_chan, flag, past_cap, "--out", str(tmp_path / "wood_chan")]) == 0
+    capsys.readouterr()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("integrated or sampled past the cap")
+
+    monkeypatch.setattr(solver, "_integrate", no_work)
+    monkeypatch.setattr(fbm, "sample_driver", no_work)
+    out = tmp_path / "x"
+    code, summary, captured = run_cli([*argv, flag, past_cap, "--out", str(out)], capsys)
+    assert code == 2
+    assert captured.err == (f"error: a Cholesky factor at N={n_grid} takes {size} bytes, "
+                            f"more than {32 * cap}\n")
+    assert not summary
+    assert not out.exists()
+
+
+def test_cholesky_factor_limit_at_the_real_cap(tmp_path, monkeypatch):
+    # Sizes are evaluated, not sampled: N = 8880 is the largest factor within
+    # 32 `_MAX_STEPS` bytes (320 MB), so the README's N = 5000 run passes and
+    # a 1000 ms run (N = 10^5, a 40 GB factor) is refused.
+    for n_grid in (5000, 8880):
+        cli._require_factor("cholesky", n_grid)
+    for n_grid in (8881, 100_000):
+        with pytest.raises(ValueError, match=f"at N={n_grid} "):
+            cli._require_factor("cholesky", n_grid)
+    cli._require_factor("wood_chan", 10 ** 7)
+    # A noise-free run draws no driver, so it needs no factor.
+    monkeypatch.setattr(cli, "_MAX_STEPS", 300)
+    assert main(["simulate", "--generator", "cholesky", "--T", "3",
+                 "--out", str(tmp_path / "ok")]) == 0
 
 
 # The options each subcommand takes besides --config and --out, and its
@@ -587,11 +648,6 @@ for name, argv in runs.items():
 loaded = sorted(m for m, module in sys.modules.items()
                 if module is not None and (m == "scipy" or m.startswith("scipy.")))
 assert not loaded, loaded[:3]
-
-if sys.argv[2] != "blocked":
-    from frachh import fbm
-
-    assert callable(fbm.scipy.linalg.cholesky)
 """
 
 

@@ -6,6 +6,7 @@ covariances (z-scores against the known sampling error), so they are
 deterministic test outcomes, not flaky statistics.
 """
 
+import functools
 import math
 import tracemalloc
 from unittest import mock
@@ -17,6 +18,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fbm_increments
 from frachh import fbm
 from frachh.fbm import (
     FactorizationError,
@@ -26,8 +28,8 @@ from frachh.fbm import (
     sample_driver,
 )
 
-CHOLESKY = fbm._SAMPLERS["cholesky"]
-WOOD_CHAN = fbm._SAMPLERS["wood_chan"]
+CHOLESKY = functools.partial(fbm_increments, "cholesky")
+WOOD_CHAN = functools.partial(fbm_increments, "wood_chan")
 
 
 def _smooth_size(n):
@@ -113,7 +115,7 @@ class TestCholesky:
         assert not np.array_equal(a.increments, c.increments)
 
     def test_brownian_increments_uncorrelated(self):
-        inc = CHOLESKY(128, 128.0, 0.5, 7, 4000).ravel()
+        inc = fbm._SAMPLERS["cholesky"](128, 0.5, 7, 4000).ravel()
         lag1 = np.mean(inc[1:] * inc[:-1]) / np.mean(inc * inc)
         assert abs(lag1) < 3.0 / math.sqrt(inc.size)
 
@@ -159,7 +161,7 @@ class TestCholesky:
         factor = scipy.linalg.cholesky(scipy.linalg.toeplitz(gamma), lower=True)
         z = np.random.default_rng(5).standard_normal((3, n_grid))
         expected = z @ factor.T
-        got = CHOLESKY(n_grid, float(n_grid), hurst, 5, 3)
+        got = fbm._SAMPLERS["cholesky"](n_grid, hurst, 5, 3)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_input_validation(self):
@@ -224,10 +226,12 @@ class TestSpectralMemo:
     )
     def test_factor_bit_identical_to_scaled_toeplitz(self, cold_memo, n_grid, horizon, hurst):
         # The covariance at step delta is delta^2H times the unit-grid
-        # Toeplitz matrix: its paths are the unit-grid paths times delta^H.
-        unit = CHOLESKY(n_grid, float(n_grid), hurst, 3, 2)
+        # Toeplitz matrix: the driver's paths are the unit-grid paths times
+        # delta^H, scaled in `sample_driver` alone.
+        unit = fbm._SAMPLERS["cholesky"](n_grid, hurst, 3, 3)
         unit *= (horizon / n_grid) ** hurst
-        assert CHOLESKY(n_grid, horizon, hurst, 3, 2).tobytes() == unit.tobytes()
+        driver = sample_driver(n_grid, horizon, hurst, 3, "cholesky")
+        assert driver.increments.T.tobytes() == unit.tobytes()
 
     @pytest.mark.parametrize("generator", fbm.GENERATORS)
     def test_driver_independent_of_memo_state(self, cold_memo, generator):
@@ -506,7 +510,7 @@ class TestBitIdentity:
     def test_sampler_prefix_is_the_shorter_draw(self, generator, n_grid, horizon, hurst,
                                                 seed, n_paths, data):
         fewer = data.draw(st.integers(0, n_paths))
-        sampler = fbm._SAMPLERS[generator]
+        sampler = functools.partial(fbm_increments, generator)
         more = sampler(n_grid, horizon, hurst, seed, n_paths)
         less = sampler(n_grid, horizon, hurst, seed, fewer)
         assert less.shape == (fewer, n_grid)
@@ -518,7 +522,7 @@ class TestBitIdentity:
         # N = 128 fills one factor block exactly; 129 starts a second block of
         # one row.
         assert fbm._BLOCK_ROWS == 128
-        sampler = fbm._SAMPLERS[generator]
+        sampler = functools.partial(fbm_increments, generator)
         more = sampler(n_grid, 10.0, 0.75, 4, 6)
         for fewer in range(6):
             assert more[:fewer].tobytes() == sampler(n_grid, 10.0, 0.75, 4, fewer).tobytes()
@@ -565,7 +569,7 @@ class TestWoodChan:
             assert abs(emp - theo) <= 3.0 * math.sqrt(var_ij / n_paths)
 
     def test_brownian_increment_autocorrelation(self):
-        inc = WOOD_CHAN(2 ** 17, float(2 ** 17), 0.5, 3, 1)[0]
+        inc = fbm._SAMPLERS["wood_chan"](2 ** 17, 0.5, 3, 1)[0]
         g0 = np.mean(inc * inc)
         bound = 3.0 / math.sqrt(inc.size)
         for lag in range(1, 6):
@@ -637,7 +641,7 @@ class TestDriver:
     def test_columns_are_component_paths(self, generator, n_grid, horizon, hurst, seed):
         # One three-path draw from the master seed, column j from path j.
         d = sample_driver(n_grid, horizon, hurst, seed, generator)
-        draw = fbm._SAMPLERS[generator](n_grid, horizon, hurst, seed, 3)
+        draw = fbm_increments(generator, n_grid, horizon, hurst, seed, 3)
         assert d.increments.shape == (n_grid, 3)
         assert d.increments.tobytes() == draw.T.tobytes()
         assert d.values.shape == (n_grid + 1, 3)
