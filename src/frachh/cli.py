@@ -17,8 +17,7 @@ library rejects (`ValueError`) is one `error:` line on stderr and exit 2, and
 each subcommand makes every call that can reject a value before its first
 write; a failed run (divergence, I/O), viability audit or voltage bound is 1.
 Rejected values include work past the limits: more than `_MAX_STEPS` grid
-steps in one integration or `fbm` driver, or Euler steps in one call, and a
-Cholesky factor larger than a trajectory of `_MAX_STEPS` steps.
+steps in one integration or `fbm` driver, or Euler steps in one call.
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ _SWEEP_MAX_POINTS = 100_000
 # Euler steps one call may take over all its integrations: 100 times the
 # README's 1000 ms run (10^5 steps at dt = 0.01), a 320 MB (m, h, n, V)
 # trajectory. Any finite T / dt passes `SolverConfig`, so without a cap a
-# tiny dt asks for work and memory without bound. A Cholesky factor may take
-# those 320 MB too (8 `fbm._factor_size(N)` bytes, N <= 8880).
+# tiny dt asks for work and memory without bound.
 _MAX_STEPS = 10_000_000
 
 
@@ -123,24 +121,13 @@ def _require_steps(steps: int, source: str) -> None:
 
 
 def _solver_config(config: dict, runs: int = 1, label: str = "") -> SolverConfig:
-    """The call's `SolverConfig`, held to `_MAX_STEPS` steps in one
-    integration and in its `runs` integrations together, which `label`
-    names."""
+    """The call's `SolverConfig`, held to `_MAX_STEPS` steps in its `runs`
+    integrations together, which `label` names when there are several."""
     solver_config = _library_config(config, SolverConfig)
     grid = f"T={solver_config.T} / dt={solver_config.dt}"
-    _require_steps(solver_config.n_steps, grid)
-    _require_steps(runs * solver_config.n_steps, f"{label} at {grid}")
+    source = grid if runs == 1 else f"{label} at {grid}"
+    _require_steps(runs * solver_config.n_steps, source)
     return solver_config
-
-
-def _require_factor(generator: str, N: int) -> None:
-    """Refuse a Cholesky driver whose factor takes more bytes than a
-    trajectory of `_MAX_STEPS` steps."""
-    if generator != fbm.GENERATOR_CHOLESKY:
-        return
-    size, cap = 8 * fbm._factor_size(N), 32 * _MAX_STEPS
-    if size > cap:
-        raise ValueError(f"a Cholesky factor at N={N} takes {size} bytes, more than {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +188,6 @@ def write_voltage_svg(result: solver.SimulationResult, path) -> None:
 def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
     params = _library_config(config, HHParams)
     solver_config = _solver_config(config)
-    if not params.is_deterministic:
-        _require_factor(solver_config.generator, solver_config.n_steps)
     result = solver.simulate(equilibrium(0.0), params, solver_config)
     spikes = analysis.detect_spikes(result, config["threshold"], config["refractory"])
     holder = (None if params.is_deterministic
@@ -261,7 +246,6 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
 
 def cmd_fbm(args: argparse.Namespace, config: dict) -> int:
     _require_steps(args.N, f"--N {args.N}")
-    _require_factor(config["generator"], args.N)
     driver = fbm.sample_driver(args.N, config["T"], config["hurst"], config["seed"],
                                config["generator"])
     out = _out_dir(config)
@@ -296,8 +280,6 @@ def cmd_series(args: argparse.Namespace, config: dict) -> int:
     params = _library_config(config, HHParams)
     runs = len(args.hurst_values)
     solver_config = _solver_config(config, runs, f"a series of {runs} recordings")
-    if not params.is_deterministic:
-        _require_factor(solver_config.generator, solver_config.n_steps)
     series = analysis.simulate_recording_series(args.hurst_values, params, solver_config)
     out = _out_dir(config)
     analysis.write_series_csv(series, out / "series.csv")

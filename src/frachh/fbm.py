@@ -18,10 +18,12 @@ horizon enters.
   [jb, N) of U in C order, so column k of L is one contiguous slice, and
   the corner of a diagonal block below its diagonal is zero. At N = 1000
   that is 4.5 MB, against 4.0 MB for the triangle alone. Its O(N^2) cost is
-  paid once per (N, H). Each path then costs O(N^2) too: the row vector
-  z_i^T U is one numpy product `z[jb:jb+b] @ block` per block, added into
-  columns [jb, N). A block is applied to every path before the next block,
-  so it is read from memory once per draw, but each product takes one path:
+  paid once per (N, H), and a factor over `_FACTOR_MAX_BYTES` (320 MB, so
+  N <= 8880) raises `ValueError` before any normal is drawn. Each path then
+  costs O(N^2) too: the row vector z_i^T U is one numpy product
+  `z[jb:jb+b] @ block` per block, added into columns [jb, N). A block is
+  applied to every path before the next block, so it is read from memory
+  once per draw, but each product takes one path:
   BLAS may round a row of a multi-row product differently with the number
   of rows, and the first j paths must be the j-path draw.
 * Wood-Chan: circulant embedding of the stationary increment process
@@ -77,6 +79,8 @@ _EIG_CHUNK = 1 << 15
 # N = 1000 a block of 128 rows is at most 1 MB, so it stays in cache while
 # it is applied to the three paths of a driver.
 _BLOCK_ROWS = 128
+# Most bytes a Cholesky factor, 8 `_factor_size(N)`, may take: N <= 8880.
+_FACTOR_MAX_BYTES = 320_000_000
 # Rows per formatted block of a CSV file.
 _CSV_BLOCK = 4096
 
@@ -274,11 +278,17 @@ def _unit_factor(N: int, H: float) -> np.ndarray:
     """Read-only Cholesky factor of the unit-grid fGn covariance
     gamma(|i-j|), memoized per (N, H): built column by column by the Schur
     algorithm into the flat row blocks of U = L^T, `_factor_size(N)`
-    doubles."""
-    return _memoized(
-        (GENERATOR_CHOLESKY, N, H),
-        lambda: _toeplitz_cholesky(fgn_autocovariance(np.arange(N), H)),
-    )
+    doubles. A factor of more than `_FACTOR_MAX_BYTES` raises `ValueError`
+    before anything is built."""
+
+    def build() -> np.ndarray:
+        size = 8 * _factor_size(N)
+        if size > _FACTOR_MAX_BYTES:
+            raise ValueError(f"a Cholesky factor at N={N} takes {size} bytes, "
+                             f"more than {_FACTOR_MAX_BYTES}")
+        return _toeplitz_cholesky(fgn_autocovariance(np.arange(N), H))
+
+    return _memoized((GENERATOR_CHOLESKY, N, H), build)
 
 
 def _cholesky_increments(N: int, H: float, seed, n_paths: int) -> np.ndarray:

@@ -501,7 +501,7 @@ def test_step_limit_is_inclusive(tmp_path, capsys, monkeypatch, argv, flag, at_c
 def test_cholesky_factor_limit_is_inclusive(tmp_path, capsys, monkeypatch, argv, flag,
                                             at_cap, past_cap, n_grid, cap):
     # A factor may take the 32 bytes a step of a capped trajectory takes.
-    monkeypatch.setattr(cli, "_MAX_STEPS", cap)
+    monkeypatch.setattr(fbm, "_FACTOR_MAX_BYTES", 32 * cap)
     size = 8 * fbm._factor_size(n_grid)
     assert 8 * fbm._factor_size(n_grid - 1) <= 32 * cap < size
     assert main([*argv, flag, at_cap, "--out", str(tmp_path / "ok")]) == 0
@@ -514,7 +514,7 @@ def test_cholesky_factor_limit_is_inclusive(tmp_path, capsys, monkeypatch, argv,
         raise AssertionError("integrated or sampled past the cap")
 
     monkeypatch.setattr(solver, "_integrate", no_work)
-    monkeypatch.setattr(fbm, "sample_driver", no_work)
+    monkeypatch.setattr(fbm, "_toeplitz_cholesky", no_work)
     out = tmp_path / "x"
     code, summary, captured = run_cli([*argv, flag, past_cap, "--out", str(out)], capsys)
     assert code == 2
@@ -525,19 +525,28 @@ def test_cholesky_factor_limit_is_inclusive(tmp_path, capsys, monkeypatch, argv,
 
 
 def test_cholesky_factor_limit_at_the_real_cap(tmp_path, monkeypatch):
-    # Sizes are evaluated, not sampled: N = 8880 is the largest factor within
-    # 32 `_MAX_STEPS` bytes (320 MB), so the README's N = 5000 run passes and
-    # a 1000 ms run (N = 10^5, a 40 GB factor) is refused.
+    # The factor builder is a stub, so nothing large is built: N = 8880 is the
+    # largest factor within `fbm._FACTOR_MAX_BYTES` (320 MB), so the README's
+    # N = 5000 run passes and a 1000 ms run (N = 10^5, a 40 GB factor) is
+    # refused.
+    built = []
+
+    def stub(gamma):
+        built.append(gamma.size)
+        return np.zeros(1)
+
+    monkeypatch.setattr(fbm, "_toeplitz_cholesky", stub)
     for n_grid in (5000, 8880):
-        cli._require_factor("cholesky", n_grid)
+        fbm._unit_factor(n_grid, 0.75)
     for n_grid in (8881, 100_000):
         with pytest.raises(ValueError, match=f"at N={n_grid} "):
-            cli._require_factor("cholesky", n_grid)
-    cli._require_factor("wood_chan", 10 ** 7)
+            fbm._unit_factor(n_grid, 0.75)
+    assert built == [5000, 8880]
     # A noise-free run draws no driver, so it needs no factor.
-    monkeypatch.setattr(cli, "_MAX_STEPS", 300)
+    monkeypatch.setattr(fbm, "_FACTOR_MAX_BYTES", 32 * 300)
     assert main(["simulate", "--generator", "cholesky", "--T", "3",
                  "--out", str(tmp_path / "ok")]) == 0
+    assert built == [5000, 8880]
 
 
 # The options each subcommand takes besides --config and --out, and its

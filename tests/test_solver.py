@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from frachh import analysis, kinetics, solver
+from frachh import analysis, fbm, kinetics, solver
 from frachh.kinetics import HHParams, State, drift
 from frachh.solver import (
     ClampEvent,
@@ -405,6 +405,18 @@ class TestSimulate:
             if clamps is not None:
                 assert len(events) == clamps[seed]
                 assert (traj[:, 3].max() > params.E_Na) == (seed in above_e_na)
+
+    def test_oversize_cholesky_factor_refused_before_any_is_built(
+            self, monkeypatch, eq0, classic_i10_noisy):
+        # The README's 1000 ms horizon at dt = 0.01 needs a 40 GB factor.
+        def no_build(gamma):
+            raise AssertionError("built a Cholesky factor past the limit")
+
+        monkeypatch.setattr(fbm, "_toeplitz_cholesky", no_build)
+        config = SolverConfig(T=1000.0, dt=0.01, generator="cholesky")
+        with pytest.raises(ValueError, match="^a Cholesky factor at N=100000 takes "
+                                             "40051187712 bytes, more than 320000000$"):
+            simulate(eq0, classic_i10_noisy, config)
 
     def test_start_outside_box_rejected(self, classic_i10):
         with pytest.raises(ValueError):
