@@ -6,6 +6,7 @@ covariances (z-scores against the known sampling error), so they are
 deterministic test outcomes, not flaky statistics.
 """
 
+import decimal
 import functools
 import math
 import tracemalloc
@@ -62,6 +63,26 @@ class TestCovariance:
     def test_hurst_out_of_range_rejected(self, fbm_covariance, bad):
         with pytest.raises(ValueError):
             fbm_covariance(1.0, 2.0, bad)
+
+    @pytest.mark.parametrize("hurst", [0.3, 0.55, 0.75, 0.9, 0.95])
+    def test_fgn_autocovariance_matches_decimal_reference(self, hurst):
+        # Against (|k+1|^2H - 2|k|^2H + |k-1|^2H) / 2 at 60 digits, on lags
+        # 1..100 and 100 more out to 5e6. The binomial series from lag
+        # `_SERIES_LAG` on erred by 4.4e-16 at most (H 0.01 to 0.999), the
+        # float formula below it by 8.6e-14 (lag 7, H 0.55); that formula
+        # alone erred by up to 4.4e-2 at lags to 5e6.
+        two_h = 2 * decimal.Decimal(hurst)
+
+        def power(x):
+            return (decimal.Decimal(x).ln() * two_h).exp() if x else decimal.Decimal(0)
+
+        lags = np.unique(np.r_[1:101, np.geomspace(100, 5e6, 100).round()]).astype(int)
+        with decimal.localcontext(prec=60):
+            exact = np.array([float((power(k + 1) - 2 * power(k) + power(k - 1)) / 2)
+                              for k in lags.tolist()])
+        error = np.abs(fgn_autocovariance(lags, hurst) / exact - 1)
+        assert error.max() < 2e-13
+        assert error[lags >= fbm._SERIES_LAG].max() < 2e-15
 
     def test_fgn_autocovariance_consistency(self, fbm_covariance):
         # gamma(k) equals the covariance of unit-step increments.
@@ -318,25 +339,27 @@ class TestSpectralMemo:
         assert d.values.shape == (5, 3)
         assert len(cold_memo) == 1
 
-    def test_embedding_check_raises_or_clips(self, cold_memo, monkeypatch):
-        eigenvalues = {0.7: [1.0, -0.5], 0.75: [1.0, -1e-12]}
+    def test_embedding_check_raises_on_any_negative(self, cold_memo, monkeypatch):
+        # Any negative eigenvalue raises, however small; zero passes.
+        eigenvalues = {0.7: [1.0, -0.5], 0.75: [1.0, -1e-12], 0.8: [1.0, 0.0]}
         monkeypatch.setattr(
             fbm, "_circulant_eigenvalues", lambda M, H: np.array(eigenvalues[H])
         )
         with pytest.raises(RuntimeError, match=r"N=1, H=0\.7 .*-0\.5\)"):
             fbm._fgn_scale(1, 0.7)
+        with pytest.raises(RuntimeError, match=r"N=1, H=0\.75 .*-1e-12\)"):
+            fbm._fgn_scale(1, 0.75)
         assert not cold_memo
-        assert fbm._embedding_eigenvalues(1, 0.75).tolist() == [1.0, 0.0]
+        assert fbm._embedding_eigenvalues(1, 0.8).tolist() == [1.0, 0.0]
         # Real and imaginary scales of X_0 and X_1 = X_M, w = 2M = 2.
-        scale = fbm._fgn_scale(1, 0.75)
+        scale = fbm._fgn_scale(1, 0.8)
         assert scale.tolist() == [math.sqrt(2.0), 0.0, 0.0, 0.0]
-        assert cold_memo[("wood_chan", 1, 0.75)] is scale
+        assert cold_memo[("wood_chan", 1, 0.8)] is scale
 
     @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
     def test_scale_bit_identical_to_concatenated_build(self, hurst):
-        # The build fills one complex buffer in chunks, transforms it in place
-        # and clips and weighs the eigenvalues in place; the reference
-        # concatenates the row and copies at every stage.
+        # The build weighs the M+1 eigenvalues of one `hfft` in place; the
+        # reference copies at every stage.
         for n_grid in (1, 2, 3, 5000, 100000):
             m = _smooth_size(n_grid)
             tracemalloc.start()
@@ -345,18 +368,18 @@ class TestSpectralMemo:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            gamma = fgn_autocovariance(np.arange(m + 1), hurst)
-            lam = np.clip(np.fft.fft(np.concatenate([gamma, gamma[m - 1:0:-1]])).real,
-                          0.0, None)
+            lam = np.fft.hfft(fgn_autocovariance(np.arange(m + 1), hurst), 2 * m)
             weight = np.full(m + 1, float(m))
             weight[[0, m]] = 2.0 * m
             expected = np.empty(2 * (m + 1))
             expected[0::2] = expected[1::2] = np.sqrt(weight * lam[: m + 1])
             expected[[1, -1]] = 0.0
             assert scale.tobytes() == expected.tobytes(), n_grid
-        # The cold build at N = 100000 holds the complex buffer of 2M points
-        # (32 M bytes) and the kept scales, but no copy of either.
-        assert peak < 2 * 32 * m
+        # The cold build at N = 100000 peaks inside `hfft`: the M+1
+        # autocovariances, their real conjugate and its complex cast, and the
+        # 2M-point output, 48 (M+1) bytes in all (1.5007 x 32 M measured, up
+        # to 1.543 with a new FFT plan).
+        assert peak < 1.55 * 32 * m
 
     def test_wood_chan_keeps_a_spectrum_per_key(self, cold_memo, monkeypatch):
         calls = _count_calls(monkeypatch, fbm, "_circulant_eigenvalues")
@@ -417,7 +440,7 @@ def _reference_unit_fgn(N, H, seed, n_paths):
     parts of X_0, ..., X_M in turn, keeps X_0 and X_M real, scales by
     sqrt(w_k lam_k) and takes the first N points of `irfft`."""
     lam = fbm._embedding_eigenvalues(N, H)
-    m = lam.size // 2
+    m = lam.size - 1
     scale = np.sqrt(m * lam[: m + 1])
     scale[[0, m]] = np.sqrt(2 * m * lam[[0, m]])
     rng = np.random.default_rng(seed)
@@ -606,7 +629,7 @@ class TestWoodChan:
         assert {n: _smooth_size(n) for n in far} == far
         for n_grid in [*range(1, 3001), *far]:
             lam = fbm._embedding_eigenvalues(n_grid, (0.3, 0.55, 0.75, 0.95)[n_grid % 4])
-            assert lam.size == 2 * _smooth_size(n_grid), n_grid
+            assert lam.size == _smooth_size(n_grid) + 1, n_grid
             assert lam.min() >= 0.0
 
     def test_minimal_embedding_nonnegative_for_fgn(self):
@@ -616,7 +639,29 @@ class TestWoodChan:
             m = _smooth_size(n_grid)
             for hurst in np.arange(1, 100) / 100:
                 lam = fbm._circulant_eigenvalues(m, hurst)
-                assert lam.min() >= -fbm._EIG_CLIP_REL * lam.max(), (n_grid, hurst)
+                assert lam.min() >= 0.0, (n_grid, hurst)
+
+    def test_no_negative_eigenvalue_at_two_million_steps(self):
+        # `frachh series 0.95 --dt 0.001 --T 2000`; with the three-power
+        # autocovariance at every lag the smallest eigenvalue read -0.254.
+        lam = fbm._embedding_eigenvalues(2_000_000, 0.95)
+        assert lam.min() == pytest.approx(0.0876, abs=1e-4)
+
+    @pytest.mark.parametrize("n_grid", [1, 1000, 5000, 100000])
+    @pytest.mark.parametrize("hurst", [0.3, 0.55, 0.95])
+    def test_eigenvalues_are_the_full_row_dft(self, n_grid, hurst):
+        # The complex DFT of the whole row [gamma(0..M), gamma(M-1..1)] is
+        # real, its upper half mirrors its lower one, and k = 0..M is the
+        # real transform. Measured: within 6.3e-16 and 9.4e-16 of max lam.
+        m = fbm._embedding_half_size(n_grid)
+        lam = fbm._circulant_eigenvalues(m, hurst)
+        gamma = fgn_autocovariance(np.arange(m + 1), hurst)
+        full = np.fft.fft(np.concatenate([gamma, gamma[m - 1:0:-1]]))
+        tol = 2e-15 * lam.max()
+        assert lam.shape == (m + 1,)
+        assert np.abs(full.imag).max() <= tol
+        assert np.abs(lam - full.real[: m + 1]).max() <= tol
+        assert np.abs(full.real[:m - 1:-1] - full.real[1 : m + 1]).max() <= tol
 
 
 class TestDriver:
