@@ -36,10 +36,8 @@ horizon enters.
   autocovariances; a negative eigenvalue raises. Path i is the first N
   points of one real inverse FFT of its own Hermitian half-spectrum of M+1
   terms: 2M + 2 normals (the imaginary parts at k = 0 and k = M are zeroed)
-  and one real FFT of 2M points. The half-spectra of several paths are
-  transformed together in one `irfft` call, as many as fit in
-  `_BATCH_BYTES` (1 MiB, at least one): a driver at N = 5000 is one call,
-  and a 1000 ms run holds one path's spectrum at a time.
+  and one real FFT of 2M points. Each path is its own `irfft` call, so a
+  draw holds one path's half-spectrum at a time.
 
 Cholesky factors and Wood-Chan scale vectors (16 (M+1) bytes for an
 embedding of size 2M) are memoized per (generator, N, H) and shared
@@ -67,10 +65,6 @@ import numpy as np
 GENERATOR_CHOLESKY = "cholesky"
 GENERATOR_WOOD_CHAN = "wood_chan"
 
-# Bytes of complex half-spectra `_unit_fgn` transforms in one call (at least
-# one path). A path at N = 5000 (M = 5000) takes ~78 KiB, one of the 1000 ms
-# run (M = 100000) 1.6 MB.
-_BATCH_BYTES = 1 << 20
 # Rows of U = L^T per block of a Cholesky factor; see `_factor_blocks`. At
 # N = 1000 a block of 128 rows is at most 1 MB, so it stays in cache while
 # it is applied to the three paths of a driver.
@@ -406,20 +400,20 @@ def _unit_fgn(N: int, H: float, seed, n_paths: int) -> np.ndarray:
     X_0 and X_M, complex X_k for 0 < k < M, standard normal parts scaled by
     `_fgn_scale` (Dietrich & Newsam 1997). The normals fill X_0, X_1, ... of
     each path in turn, the imaginary parts of X_0 and X_M drawn and zeroed, so
-    the first j paths of any draw with this seed are the same.
+    the first j paths of any draw with this seed are the same. One buffer of
+    M+1 complex terms holds each path's half-spectrum in turn, and each path
+    is its own `irfft`.
     """
     scale = _fgn_scale(N, H)
     m = scale.size // 2 - 1
     rng = np.random.default_rng(seed)
     out = np.empty((n_paths, N))
-    batch = max(1, min(n_paths, _BATCH_BYTES // (16 * (m + 1))))
-    spectra = np.empty((batch, m + 1), dtype=complex)
-    for start in range(0, n_paths, batch):
-        x = spectra[: n_paths - start]
-        parts = x.view(float)
+    x = np.empty(m + 1, dtype=complex)
+    parts = x.view(float)
+    for row in out:
         rng.standard_normal(out=parts)
         parts *= scale
-        out[start : start + len(x)] = np.fft.irfft(x, 2 * m)[:, :N]
+        row[:] = np.fft.irfft(x, 2 * m)[:N]
     return out
 
 
