@@ -246,10 +246,10 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
 
 def cmd_fbm(args: argparse.Namespace, config: dict) -> int:
     _require_steps(args.N, f"--N {args.N}")
-    driver = fbm.sample_driver(args.N, config["T"], config["hurst"], config["seed"],
-                               config["generator"])
+    increments = fbm.sample_driver(args.N, config["T"], config["hurst"], config["seed"],
+                                   config["generator"])
     out = _out_dir(config)
-    fbm.write_driver_csv(driver, out / "fbm.csv")
+    fbm.write_driver_csv(increments, out / "fbm.csv", config["T"])
     _emit("N", args.N)
     _emit("hurst", config["hurst"])
     _emit("generator", config["generator"])

@@ -6,8 +6,9 @@ noise, one path a row. Path i is made from the i-th run of standard normals
 of `default_rng(seed)`, so the first j paths of a draw are the j paths of a
 smaller draw with the same seed. `sample_driver` checks the arguments, takes
 the three gate components as the first three paths and scales them to the
-step T/N by (T/N)^H, which is fBm's self-similarity; it is the one place a
-horizon enters.
+step T/N by (T/N)^H, which is fBm's self-similarity. It returns them as an
+(N, 3) array of increments, one component a column, which is all the solver
+reads; `write_driver_csv` derives the paths and the grid from them.
 
 * Cholesky: path i is L z_i, L the lower triangular factor of the
   unit-grid increment covariance and z_i the i-th run of N normals. The
@@ -58,8 +59,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
-
 import numpy as np
 
 GENERATOR_CHOLESKY = "cholesky"
@@ -83,10 +82,12 @@ _CSV_BLOCK = 4096
 
 
 class FactorizationError(RuntimeError):
-    """Increment covariance was not numerically positive definite."""
+    """Increment covariance was not numerically positive definite at the
+    pivot `pivot_index`."""
 
-    def __init__(self, message: str, pivot_index: int):
-        super().__init__(message)
+    def __init__(self, pivot_index: int):
+        super().__init__(f"increment covariance is not numerically positive definite "
+                         f"(offending pivot index {pivot_index})")
         self.pivot_index = pivot_index
 
 
@@ -170,61 +171,8 @@ def fgn_autocovariance(k, H: float):
 
 
 # ---------------------------------------------------------------------------
-# Path containers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class FbmPath:
-    """Three independent fBm components on the uniform grid of N+1 points over
-    [0, T], held as their (N, 3) increments, one component per column."""
-
-    T: float
-    increments: np.ndarray
-
-    def __post_init__(self) -> None:
-        increments = np.asarray(self.increments, dtype=float)
-        if increments.ndim != 2 or increments.shape[1] != 3 or len(increments) < 1:
-            raise ValueError("increments must have shape (N, 3) with N >= 1")
-        T = float(self.T)
-        if not (T > 0.0) or not math.isfinite(T):
-            raise ValueError(f"horizon T must be positive and finite, got {T!r}")
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "increments", increments)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.increments)
-
-    @property
-    def dt(self) -> float:
-        return self.T / self.n_steps
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.dt
-
-    @property
-    def values(self) -> np.ndarray:
-        """The (N+1, 3) paths: a zero row, then the cumulative increments."""
-        values = np.zeros((self.n_steps + 1, 3))
-        np.cumsum(self.increments, axis=0, out=values[1:])
-        return values
-
-
-# ---------------------------------------------------------------------------
 # Cholesky reference generator
 # ---------------------------------------------------------------------------
-
-
-def _check_grid_args(N: int, T: float) -> tuple[int, float]:
-    if not isinstance(N, numbers.Integral) or N < 1:
-        raise ValueError(f"grid size N must be an integer >= 1, got {N!r}")
-    N = int(N)
-    T = float(T)
-    if not (T > 0.0) or not math.isfinite(T):
-        raise ValueError(f"horizon T must be positive and finite, got {T!r}")
-    return N, T
 
 
 def _factor_size(N: int) -> int:
@@ -262,7 +210,7 @@ def _toeplitz_cholesky(gamma: np.ndarray) -> np.ndarray:
     """
     N = gamma.size
     if not 0.0 < gamma[0] < math.inf:
-        raise _pivot_error(0)
+        raise FactorizationError(0)
     u = gamma / math.sqrt(gamma[0])
     v = u.copy()
     v[0] = 0.0
@@ -277,21 +225,13 @@ def _toeplitz_cholesky(gamma: np.ndarray) -> np.ndarray:
             uk, vk = u[: n - 1], v[k + 1 :]
             rho = float(vk[0] / uk[0])
             if not abs(rho) < 1.0:
-                raise _pivot_error(k + 1)
+                raise FactorizationError(k + 1)
             s = math.sqrt((1.0 - rho) * (1.0 + rho))
             uk -= rho * vk
             uk /= s
             vk *= s
             vk -= rho * uk
     return factor
-
-
-def _pivot_error(index: int) -> FactorizationError:
-    return FactorizationError(
-        f"increment covariance is not numerically positive definite "
-        f"(offending pivot index {index})",
-        pivot_index=index,
-    )
 
 
 def _unit_factor(N: int, H: float) -> np.ndarray:
@@ -439,18 +379,24 @@ def component_seeds(master_seed: int, n: int) -> list[int]:
 
 def sample_driver(
     N: int, T: float, H: float, master_seed: int, generator: str = GENERATOR_WOOD_CHAN
-) -> FbmPath:
-    """Three mutually independent fBm components on a shared grid, reproducible
-    as a whole from `master_seed`: column j of the increments is path j of
-    `_SAMPLERS[generator](N, H, master_seed, 3)` times (T/N)^H."""
+) -> np.ndarray:
+    """(N, 3) increments of three mutually independent fBm components over the
+    N steps of [0, T], one component a column, reproducible as a whole from
+    `master_seed`: column j is path j of `_SAMPLERS[generator](N, H,
+    master_seed, 3)` times (T/N)^H, and the array is a view of that draw."""
     if generator not in _SAMPLERS:
         raise ValueError(f"unknown generator {generator!r}, expected one of {GENERATORS}")
     require_seed(master_seed)
-    N, T = _check_grid_args(N, T)
+    if not isinstance(N, numbers.Integral) or N < 1:
+        raise ValueError(f"grid size N must be an integer >= 1, got {N!r}")
+    N = int(N)
+    T = float(T)
+    if not (T > 0.0) or not math.isfinite(T):
+        raise ValueError(f"horizon T must be positive and finite, got {T!r}")
     H = _check_hurst(H)
     paths = _SAMPLERS[generator](N, H, master_seed, 3)
     paths *= (T / N) ** H
-    return FbmPath(T=T, increments=paths.T)
+    return paths.T
 
 
 def _write_csv(path, header: str, template: str, rows) -> None:
@@ -471,7 +417,12 @@ def _column_rows(*columns):
         yield from zip(*(c[start:start + _CSV_BLOCK].tolist() for c in columns))
 
 
-def write_driver_csv(driver: FbmPath, path) -> None:
-    """Dump the driver as CSV rows `t,B1,B2,B3` with 17 significant digits."""
+def write_driver_csv(increments: np.ndarray, path, T: float) -> None:
+    """Dump the driver with (N, 3) `increments` over [0, T] as CSV rows
+    `t,B1,B2,B3` with 17 significant digits: N + 1 rows on the grid
+    t_k = k T/N, the paths a zero row and then the cumulative increments."""
+    n = len(increments)
+    values = np.zeros((n + 1, 3))
+    np.cumsum(increments, axis=0, out=values[1:])
     _write_csv(path, "t,B1,B2,B3", "%.17g,%.17g,%.17g,%.17g\n",
-               _column_rows(driver.grid, *driver.values.T))
+               _column_rows(np.arange(n + 1) * (T / n), *values.T))

@@ -286,9 +286,7 @@ def _driver_increments(params: HHParams, config: SolverConfig) -> np.ndarray | N
         return None
     require_young_hurst(config.hurst_H)
     n = config.n_steps
-    return fbm.sample_driver(
-        n, n * config.dt, config.hurst_H, config.seed, config.generator
-    ).increments
+    return fbm.sample_driver(n, n * config.dt, config.hurst_H, config.seed, config.generator)
 
 
 def simulate(x0: State, params: HHParams, config: SolverConfig) -> SimulationResult:

@@ -13,6 +13,12 @@ def fbm_increments(generator, N, T, H, seed, n_paths):
     return fbm._SAMPLERS[generator](N, H, seed, n_paths) * (T / N) ** H
 
 
+def driver_paths(increments):
+    """The (N+1, 3) fBm paths of a driver's (N, 3) `increments`: a zero row,
+    then the cumulative increments, as `fbm.write_driver_csv` writes them."""
+    return np.concatenate([np.zeros((1, 3)), np.cumsum(increments, axis=0)])
+
+
 @pytest.fixture(autouse=True)
 def cold_memo():
     """Every test starts and ends with an empty driver memo, so none passes

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fbm_increments
+from conftest import driver_paths, fbm_increments
 from frachh import analysis, fbm, solver, viability
 from frachh.kinetics import HHParams, diffusion, equilibrium
 from frachh.solver import SolverConfig
@@ -190,8 +190,9 @@ def test_criterion_6_regularity_control():
     # (a) estimator recovers H on raw fBm at N = 2^14
     recovery = {}
     for hurst in HURST_SET:
-        path = fbm.sample_driver(2 ** 14, 1.0, hurst, 0)
-        recovery[hurst] = analysis.estimate_holder(path.values[:, 0], path.grid).exponent
+        paths = driver_paths(fbm.sample_driver(2 ** 14, 1.0, hurst, 0))
+        recovery[hurst] = analysis.estimate_holder(
+            paths[:, 0], np.linspace(0.0, 1.0, 2 ** 14 + 1)).exponent
     rec_ok = all(abs(recovery[h] - h) <= 0.1 for h in HURST_SET)
 
     # (b) gate-path exponents strictly increase with H (median of 20 seeds)

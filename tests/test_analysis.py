@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import driver_paths
 from frachh import fbm, solver
 from frachh.analysis import (
     DEFAULT_REFRACTORY,
@@ -162,8 +163,8 @@ class TestBifurcationSweep:
 class TestHolderEstimator:
     def test_recovers_hurst_on_synthetic_paths(self):
         for hurst in (0.55, 0.8, 0.95):
-            path = fbm.sample_driver(2 ** 14, 1.0, hurst, 0)
-            est = estimate_holder(path.values[:, 0], path.grid)
+            paths = driver_paths(fbm.sample_driver(2 ** 14, 1.0, hurst, 0))
+            est = estimate_holder(paths[:, 0], np.linspace(0.0, 1.0, 2 ** 14 + 1))
             assert est.exponent == pytest.approx(hurst, abs=0.1)
             assert est.scales_used == 6
             assert np.isfinite(est.fit_residual)

@@ -19,11 +19,10 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fbm_increments
+from conftest import driver_paths, fbm_increments
 from frachh import fbm
 from frachh.fbm import (
     FactorizationError,
-    FbmPath,
     component_seeds,
     fgn_autocovariance,
     sample_driver,
@@ -97,28 +96,6 @@ class TestCovariance:
             assert fgn_autocovariance(k, hurst) == pytest.approx(direct, abs=1e-14)
 
 
-class TestPathContainer:
-    def test_grid_and_origin_invariants(self):
-        path = sample_driver(32, 4.0, 0.6, 0)
-        assert path.values[0].tolist() == [0.0, 0.0, 0.0]
-        assert path.grid[0] == 0.0
-        assert np.allclose(np.diff(path.grid), path.dt)
-        assert path.n_steps == 32
-
-    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
-    def test_rejects_bad_horizon(self, horizon):
-        with pytest.raises(ValueError):
-            FbmPath(horizon, np.zeros((2, 3)))
-
-    @pytest.mark.parametrize(
-        "values",
-        [np.zeros(1), np.zeros((0, 3)), np.zeros((3, 2)), np.zeros((3, 3, 1)), np.float64(0.0)],
-    )
-    def test_rejects_bad_shape(self, values):
-        with pytest.raises(ValueError):
-            FbmPath(1.0, values)
-
-
 class TestCholesky:
     def test_single_increment_variance(self):
         # One-step path variance must match T^(2H); 1e5 independent paths.
@@ -132,8 +109,8 @@ class TestCholesky:
         a = sample_driver(64, 10.0, 0.8, 42, "cholesky")
         b = sample_driver(64, 10.0, 0.8, 42, "cholesky")
         c = sample_driver(64, 10.0, 0.8, 43, "cholesky")
-        assert np.array_equal(a.increments, b.increments)
-        assert not np.array_equal(a.increments, c.increments)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_brownian_increments_uncorrelated(self):
         inc = fbm._SAMPLERS["cholesky"](128, 0.5, 7, 4000).ravel()
@@ -197,8 +174,7 @@ class TestCholesky:
         with pytest.raises(ValueError, match="got 1.5"):
             sample_driver(16, 1.0, 0.75, 1.5)
         # numpy integers are integers.
-        driver = sample_driver(np.int64(16), 1.0, 0.75, np.uint32(1))
-        assert driver.increments.shape == (16, 3)
+        assert sample_driver(np.int64(16), 1.0, 0.75, np.uint32(1)).shape == (16, 3)
 
 
 def _expand_factor(factor, n_grid):
@@ -252,19 +228,19 @@ class TestSpectralMemo:
         unit = fbm._SAMPLERS["cholesky"](n_grid, hurst, 3, 3)
         unit *= (horizon / n_grid) ** hurst
         driver = sample_driver(n_grid, horizon, hurst, 3, "cholesky")
-        assert driver.increments.T.tobytes() == unit.tobytes()
+        assert driver.T.tobytes() == unit.tobytes()
 
     @pytest.mark.parametrize("generator", fbm.GENERATORS)
     def test_driver_independent_of_memo_state(self, cold_memo, generator):
-        def values():
-            return sample_driver(128, 10.0, 0.7, 5, generator).values
+        def increments():
+            return sample_driver(128, 10.0, 0.7, 5, generator)
 
         other_generator = next(g for g in fbm.GENERATORS if g != generator)
-        cold = values()
-        warm = values()
+        cold = increments()
+        warm = increments()
         sample_driver(128, 10.0, 0.8, 5, generator)
         sample_driver(128, 10.0, 0.7, 5, other_generator)
-        evicted = values()
+        evicted = increments()
         assert np.array_equal(cold, warm)
         assert np.array_equal(cold, evicted)
 
@@ -320,8 +296,7 @@ class TestSpectralMemo:
                 sample_driver(2, 1.0, 0.7, 0, generator="cholesky")
             assert not cold_memo
         assert len(builds) == 2
-        d = sample_driver(2, 1.0, 0.75, 0, generator="cholesky")
-        assert d.values.shape == (3, 3)
+        assert sample_driver(2, 1.0, 0.75, 0, generator="cholesky").shape == (2, 3)
         assert len(cold_memo) == 1
 
     def test_embedding_error_not_memoized(self, cold_memo, monkeypatch):
@@ -335,8 +310,7 @@ class TestSpectralMemo:
             with pytest.raises(RuntimeError):
                 sample_driver(4, 1.0, 0.7, 0)
             assert not cold_memo
-        d = sample_driver(4, 1.0, 0.75, 0)
-        assert d.values.shape == (5, 3)
+        assert sample_driver(4, 1.0, 0.75, 0).shape == (4, 3)
         assert len(cold_memo) == 1
 
     def test_embedding_check_raises_on_any_negative(self, cold_memo, monkeypatch):
@@ -491,10 +465,10 @@ class TestBitIdentity:
             fbm._spectral_memo.clear()
             try:
                 for N, H, generator, seed in keys:
-                    warm = sample_driver(N, 10.0, H, seed, generator).values
+                    warm = sample_driver(N, 10.0, H, seed, generator)
                     held = dict(fbm._spectral_memo)
                     fbm._spectral_memo.clear()
-                    cold = sample_driver(N, 10.0, H, seed, generator).values
+                    cold = sample_driver(N, 10.0, H, seed, generator)
                     fbm._spectral_memo.clear()
                     fbm._spectral_memo.update(held)
                     assert warm.tobytes() == cold.tobytes()
@@ -676,12 +650,12 @@ class TestDriver:
     def test_same_master_seed_identical_triple(self):
         a = sample_driver(64, 50.0, 0.75, 11)
         b = sample_driver(64, 50.0, 0.75, 11)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_three_driver_columns_distinct(self):
         d = sample_driver(64, 50.0, 0.75, 11)
         assert len(set(component_seeds(11, n=3))) == 3
-        b1, b2, b3 = d.values.T
+        b1, b2, b3 = d.T
         assert not np.array_equal(b1, b2)
         assert not np.array_equal(b1, b3)
         assert not np.array_equal(b2, b3)
@@ -695,16 +669,11 @@ class TestDriver:
         # One three-path draw from the master seed, column j from path j.
         d = sample_driver(n_grid, horizon, hurst, seed, generator)
         draw = fbm_increments(generator, n_grid, horizon, hurst, seed, 3)
-        assert d.increments.shape == (n_grid, 3)
-        assert d.increments.tobytes() == draw.T.tobytes()
-        assert d.values.shape == (n_grid + 1, 3)
-        assert d.values[0].tolist() == [0.0, 0.0, 0.0]
-        assert d.values[1:].tobytes() == np.cumsum(d.increments, axis=0).tobytes()
-        assert np.array_equal(d.grid, np.arange(n_grid + 1) * (horizon / n_grid))
-        assert d.T == horizon
+        assert d.shape == (n_grid, 3)
+        assert d.tobytes() == draw.T.tobytes()
 
     def test_components_uncorrelated_at_endpoint(self, fbm_covariance):
-        ends = np.array([sample_driver(8, 50.0, 0.75, s).values[-1] for s in range(3000)])
+        ends = np.array([driver_paths(sample_driver(8, 50.0, 0.75, s))[-1] for s in range(3000)])
         var_t = fbm_covariance(50.0, 50.0, 0.75)
         se = var_t / math.sqrt(ends.shape[0])
         for i, j in [(0, 1), (0, 2), (1, 2)]:
@@ -714,8 +683,7 @@ class TestDriver:
         # Increments of distinct columns at every pair of grid points, 4000
         # master seeds; Bonferroni over 3 * N^2 entries at 0.1% family-wise.
         n_grid, horizon, hurst, n_seeds = 16, 50.0, 0.75, 4000
-        inc = np.array([sample_driver(n_grid, horizon, hurst, s).increments
-                        for s in range(n_seeds)])
+        inc = np.array([sample_driver(n_grid, horizon, hurst, s) for s in range(n_seeds)])
         se = (horizon / n_grid) ** (2 * hurst) / math.sqrt(n_seeds)
         z_max = scipy.stats.norm.isf(0.0005 / (3 * n_grid ** 2))
         for i, j in [(0, 1), (0, 2), (1, 2)]:
@@ -724,27 +692,41 @@ class TestDriver:
 
     def test_component_covariance_matches_closed_form(self, fbm_covariance):
         ends = np.array(
-            [sample_driver(4, 10.0, 0.8, s).values[-1, 1] for s in range(4000)]
+            [driver_paths(sample_driver(4, 10.0, 0.8, s))[-1, 1] for s in range(4000)]
         )
         theo = fbm_covariance(10.0, 10.0, 0.8)
         se = theo * math.sqrt(2.0 / ends.size)
         assert abs(np.mean(ends ** 2) - theo) <= 3.0 * se
 
     def test_cholesky_generator_selectable(self):
-        default = sample_driver(16, 4.0, 0.7, 2).increments
+        default = sample_driver(16, 4.0, 0.7, 2)
         assert default.tobytes() == WOOD_CHAN(16, 4.0, 0.7, 2, 3).T.tobytes()
-        cholesky = sample_driver(16, 4.0, 0.7, 2, generator="cholesky").increments
+        cholesky = sample_driver(16, 4.0, 0.7, 2, generator="cholesky")
         assert not np.array_equal(cholesky, default)
         with pytest.raises(ValueError):
             sample_driver(16, 4.0, 0.7, 2, generator="spectral")
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_horizon(self, cold_memo, horizon):
+        for generator in fbm.GENERATORS:
+            with pytest.raises(ValueError, match="horizon T"):
+                sample_driver(2, horizon, 0.75, 0, generator)
+        assert not cold_memo
+
     def test_csv_round_trip(self, tmp_path):
-        d = sample_driver(16, 4.0, 0.7, 2)
-        out = tmp_path / "driver.csv"
-        fbm.write_driver_csv(d, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "t,B1,B2,B3"
-        assert len(lines) == 18
-        loaded = np.loadtxt(out, delimiter=",", skiprows=1)
-        assert np.array_equal(loaded[:, 0], d.grid)
-        assert np.array_equal(loaded[:, 1:], d.values)
+        # The written file holds the grid t_k = k T/N and the paths, a zero
+        # row and then the cumulative increments, bit for bit.
+        horizon = 4.0
+        for generator in fbm.GENERATORS:
+            for n_grid in (1, 16, 257):
+                increments = sample_driver(n_grid, horizon, 0.7, 2, generator)
+                out = tmp_path / f"{generator}_{n_grid}.csv"
+                fbm.write_driver_csv(increments, out, horizon)
+                lines = out.read_text().splitlines()
+                assert lines[0] == "t,B1,B2,B3"
+                assert len(lines) == n_grid + 2
+                loaded = np.loadtxt(out, delimiter=",", skiprows=1)
+                assert loaded[0].tolist() == [0.0, 0.0, 0.0, 0.0]
+                grid = np.arange(n_grid + 1) * (horizon / n_grid)
+                assert loaded[:, 0].tobytes() == grid.tobytes()
+                assert loaded[1:, 1:].tobytes() == np.cumsum(increments, axis=0).tobytes()
