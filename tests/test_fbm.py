@@ -96,6 +96,22 @@ class TestCovariance:
             assert fgn_autocovariance(k, hurst) == pytest.approx(direct, abs=1e-14)
 
 
+class TestPathContainer:
+    def test_grid_and_origin_invariants(self, tmp_path):
+        # The path is held as its (N, 3) increments; the written file gives
+        # it a zero origin and the grid t_k = k T/N of N + 1 points.
+        increments = sample_driver(32, 4.0, 0.6, 0)
+        assert increments.shape == (32, 3)
+        out = tmp_path / "driver.csv"
+        fbm.write_driver_csv(increments, out, 4.0)
+        loaded = np.loadtxt(out, delimiter=",", skiprows=1)
+        grid, values = loaded[:, 0], loaded[:, 1:]
+        assert values[0].tolist() == [0.0, 0.0, 0.0]
+        assert grid[0] == 0.0
+        assert np.allclose(np.diff(grid), 4.0 / 32)
+        assert len(grid) == 32 + 1
+
+
 class TestCholesky:
     def test_single_increment_variance(self):
         # One-step path variance must match T^(2H); 1e5 independent paths.
