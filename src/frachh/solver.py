@@ -18,8 +18,8 @@ widely, but this solver does not.
 
 Step k takes row k of the increments of a single pre-sampled driver, as the
 generator drew them; nothing is re-sampled inside a run, which is what makes
-runs reproducible and lets `convergence_probe` refine dt on a common noise
-path.
+runs reproducible and lets `convergence_probe` coarsen one `SolverConfig`'s
+run on block sums of its own driver.
 
 The loop evaluates the gate rates inline, writing out `kinetics.rates`' four
 transcendental calls and the products built from them with the same
@@ -57,9 +57,10 @@ computed as for the full rows, so V is the same bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -330,9 +331,9 @@ class ConvergenceTable:
 
     The order is the log-log slope over gaps between *consecutive* refinement
     levels, not over the to-finest gaps in `entries`: a to-finest gap carries
-    the factor (1 - (dt_finest/dt)^p), which varies along the ladder and biases
-    the naive slope upward by ~0.2-0.3 for a 16:1 ladder. None when fewer than
-    two consecutive gaps are positive."""
+    the factor (1 - (dt_finest/dt)^p), which varies along the levels and
+    biases the naive slope upward by ~0.2-0.3 over five levels (16:1). None
+    when fewer than two consecutive gaps are positive."""
 
     entries: tuple[tuple[float, float], ...]
     observed_order: float | None
@@ -342,68 +343,47 @@ class ConvergenceTable:
 
 
 def convergence_probe(
-    x0: State,
-    params: HHParams,
-    T: float,
-    H: float,
-    seed: int,
-    dt_list: Sequence[float],
+    x0: State, params: HHParams, config: SolverConfig, levels: int
 ) -> ConvergenceTable:
-    """Dyadic step-refinement study on one noise path, with the default
-    generator of `SolverConfig`.
+    """Dyadic step-refinement study on one noise path.
 
-    The driver is sampled once at the finest dt; coarser runs see block sums of
-    the same increments (the piecewise-linear restriction of one path), so the
-    gaps isolate the scheme error. Every level must be a valid `SolverConfig`
-    with horizon T, and `dt_list` must be dyadically nested.
+    `config` is the finest level. Level k = 0 ... levels - 1 steps
+    `config.dt * 2**k` for `config.n_steps >> k` steps, on sums of 2**k
+    consecutive increments of the driver `simulate(x0, params, config)` draws
+    (the piecewise-linear restriction of one path), so the gaps isolate the
+    scheme error. `levels` must be an integer >= 1, and 2**(levels - 1) must
+    divide `config.n_steps`. `entries` run coarsest first.
     """
     require_in_domain(x0)
-    if len(dt_list) == 0:
-        raise ValueError("dt_list must not be empty")
-    dts = sorted((float(d) for d in dt_list), reverse=True)
-    dt_fine = dts[-1]
-    # Nesting is defined for positive finite steps only; any other step fails
-    # in `SolverConfig` below, which names the fault.
-    if all(0.0 < d < math.inf for d in dts):
-        blocks = [2 ** round(math.log2(d / dt_fine)) for d in dts]
-        for d, block in zip(dts, blocks):
-            if abs(d - dt_fine * block) > 1e-9 * d:
-                raise ValueError(f"dt_list must be dyadically nested, {d} is not a "
-                                 f"power-of-two multiple of {dt_fine}")
-    levels = [SolverConfig(T=T, dt=d, hurst_H=H, seed=seed) for d in dts]
-    fine_increments = _driver_increments(params, levels[-1])
+    if not isinstance(levels, numbers.Integral) or levels < 1:
+        raise ValueError(f"levels must be an integer >= 1, got {levels!r}")
+    n = config.n_steps
+    # Shifts rather than 2**(levels - 1), which a huge level count would build.
+    if (n >> (levels - 1)) << (levels - 1) != n:
+        raise ValueError(f"2**{levels - 1} does not divide n_steps={n}")
+    increments = _driver_increments(params, config)
 
-    trajectories: dict[float, np.ndarray] = {}
-    for config, block in zip(levels, blocks):
-        if fine_increments is None:
-            increments = None
-        else:
-            increments = fine_increments.reshape(-1, block, 3).sum(axis=1)
-        trajectories[config.dt], _ = _integrate(
-            x0, params, config.dt, config.n_steps, increments
-        )
+    # One (dt, trajectory) per level, coarsest first.
+    runs = []
+    for k in reversed(range(levels)):
+        dt = config.dt * 2**k
+        sums = None if increments is None else increments.reshape(-1, 2**k, 3).sum(axis=1)
+        runs.append((dt, _integrate(x0, params, dt, n >> k, sums)[0]))
 
-    finest = trajectories[dt_fine]
-    entries = []
-    for d, block in zip(dts, blocks):
-        if d == dt_fine:
-            continue
-        coarse = trajectories[d]
-        gap = float(np.abs(coarse - finest[::block]).max())
-        entries.append((d, gap))
-
+    finest = runs[-1][1]
+    entries = tuple((dt, float(np.abs(traj - finest[::2**k]).max()))
+                    for k, (dt, traj) in zip(range(levels - 1, 0, -1), runs))
     consecutive = []
-    for (da, ba), (db, bb) in zip(zip(dts, blocks), zip(dts[1:], blocks[1:])):
-        stride = ba // bb
-        gap = float(np.abs(trajectories[da] - trajectories[db][::stride]).max())
+    for (dt, coarse), (_, fine) in zip(runs, runs[1:]):
+        gap = float(np.abs(coarse - fine[::2]).max())
         if gap > 0.0:
-            consecutive.append((da, gap))
+            consecutive.append((dt, gap))
     order = None
     if len(consecutive) >= 2:
         log_dt = np.log([d for d, _ in consecutive])
         log_gap = np.log([g for _, g in consecutive])
         order = float(np.polyfit(log_dt, log_gap, 1)[0])
-    return ConvergenceTable(entries=tuple(entries), observed_order=order)
+    return ConvergenceTable(entries=entries, observed_order=order)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,10 @@ class TestConfig:
             dict(seed=-1),
             dict(generator="spectral"),
             dict(seed=1.5),
+            dict(hurst_H=1.7),
+            dict(T=math.nan),
+            dict(dt=math.nan),
+            dict(dt=math.inf),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -607,54 +611,62 @@ class TestVoltageOnly:
 
 
 class TestConvergenceProbe:
-    DT_LADDER = [0.02, 0.01, 0.005, 0.0025, 0.00125]
+    # dt from 0.02 down to 0.00125.
+    FINEST = SolverConfig(T=50.0, dt=0.00125, hurst_H=0.75, seed=0)
+    LEVELS = 5
 
     def test_deterministic_first_order(self, eq0, classic_i10):
-        table = convergence_probe(eq0, classic_i10, 50.0, 0.75, 0, self.DT_LADDER)
+        table = convergence_probe(eq0, classic_i10, self.FINEST, self.LEVELS)
         gaps = table.gaps()
         assert len(gaps) == 4
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert 0.8 <= table.observed_order <= 1.2
 
     def test_stochastic_gaps_decrease_on_common_path(self, eq0, classic_i10_noisy):
-        table = convergence_probe(
-            eq0, classic_i10_noisy, 50.0, 0.75, 0, self.DT_LADDER
-        )
+        table = convergence_probe(eq0, classic_i10_noisy, self.FINEST, self.LEVELS)
         gaps = table.gaps()
         assert len(gaps) == 4
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
     def test_single_entry_gives_empty_table(self, eq0, classic_i10):
-        table = convergence_probe(eq0, classic_i10, 1.0, 0.75, 0, [0.01])
+        table = convergence_probe(eq0, classic_i10, SolverConfig(T=1.0, dt=0.01), 1)
         assert table.entries == ()
         assert table.observed_order is None
 
-    def test_non_nested_list_rejected(self, eq0, classic_i10):
-        with pytest.raises(ValueError, match="nested"):
-            convergence_probe(eq0, classic_i10, 1.0, 0.75, 0, [0.01, 0.003])
-
     def test_stochastic_low_hurst_rejected(self, eq0, classic_i10_noisy):
         with pytest.raises(ValueError):
-            convergence_probe(eq0, classic_i10_noisy, 1.0, 0.4, 0, [0.01, 0.005])
+            convergence_probe(eq0, classic_i10_noisy,
+                              SolverConfig(T=1.0, dt=0.01, hurst_H=0.4), 2)
 
-    @pytest.mark.parametrize(
-        "T, H, dt_list, message",
-        [
-            (1.0, 1.7, [0.01, 0.005], "hurst_H must lie in"),
-            (math.nan, 0.75, [0.01], "T must be positive and finite"),
-            (1.0, 0.75, [0.01, math.nan], "dt must be positive and finite"),
-            (1.0, 0.75, [math.nan, 0.01], "dt must be positive and finite"),
-            (1.0, 0.75, [0.01, -0.01], "dt must be positive and finite"),
-            (1.0, 0.75, [-0.01], "dt must be positive and finite"),
-            (1.0, 0.75, [0.01, 0.0], "dt must be positive and finite"),
-            (1.0, 0.75, [math.inf, 0.01], "dt must be positive and finite"),
-            (1.0, 0.75, [0.3, 0.15], "must divide T"),
-        ],
-    )
-    def test_levels_validated_as_solver_configs(self, eq0, classic_i10, T, H, dt_list, message):
-        # Deterministic params: the Hurst range is still a config field.
-        with pytest.raises(ValueError, match=message):
-            convergence_probe(eq0, classic_i10, T, H, 0, dt_list)
+    @pytest.mark.parametrize("levels", [0, -1, 2.0, "2"])
+    def test_levels_must_be_positive_integer(self, eq0, classic_i10_noisy, cold_memo, levels):
+        with pytest.raises(ValueError, match="levels must be an integer"):
+            convergence_probe(eq0, classic_i10_noisy, SolverConfig(T=1.0, dt=0.01), levels)
+        assert cold_memo == {}
+
+    def test_levels_must_divide_n_steps(self, eq0, classic_i10_noisy, cold_memo):
+        config = SolverConfig(T=1.0, dt=0.01)  # 100 steps
+        assert len(convergence_probe(eq0, classic_i10_noisy, config, 3).entries) == 2
+        cold_memo.clear()
+        for levels in (4, 10**9):
+            with pytest.raises(ValueError, match="does not divide n_steps=100"):
+                convergence_probe(eq0, classic_i10_noisy, config, levels)
+        assert cold_memo == {}
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.25])
+    @pytest.mark.parametrize("generator", fbm.GENERATORS)
+    def test_finest_level_is_simulate_run(self, eq0, generator, sigma):
+        params = HHParams.classic(current_I=10.0, sigma=sigma)
+        config = SolverConfig(T=1.0, dt=0.01, seed=3, generator=generator)
+        n = config.n_steps
+        sums = None
+        if sigma:
+            driver = fbm.sample_driver(n, n * config.dt, config.hurst_H, config.seed, generator)
+            sums = driver.reshape(-1, 2, 3).sum(axis=1)
+        coarse, _ = _integrate(eq0, params, 2 * config.dt, n // 2, sums)
+        fine = simulate(eq0, params, config).trajectory
+        table = convergence_probe(eq0, params, config, 2)
+        assert table.entries == ((2 * config.dt, float(np.abs(coarse - fine[::2]).max())),)
 
 
 class TestCsv:
