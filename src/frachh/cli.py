@@ -167,7 +167,7 @@ def write_voltage_svg(result: solver.SimulationResult, path) -> None:
     width, height, margin = _SVG_WIDTH, _SVG_HEIGHT, 40
     xs = margin + (width - 2 * margin) * (t - t[0]) / (t[-1] - t[0])
     ys = height - margin - (height - 2 * margin) * (v - v_lo) / span
-    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

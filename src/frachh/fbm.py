@@ -36,17 +36,18 @@ reads; `write_driver_csv` derives the paths and the grid from them.
   even, so its spectrum is one real transform (`hfft`) of the M+1
   autocovariances; a negative eigenvalue raises. Path i is the first N
   points of one real inverse FFT of its own Hermitian half-spectrum of M+1
-  terms: 2M + 2 normals (the imaginary parts at k = 0 and k = M are zeroed)
-  and one real FFT of 2M points. Each path is its own `irfft` call, so a
-  draw holds one path's half-spectrum at a time.
+  terms: 2M + 2 normals times the M+1 real amplitudes (`irfft` discards
+  the imaginary parts at k = 0 and k = M) and one real FFT of 2M points.
+  Each path is its own `irfft` call, so a draw holds one path's
+  half-spectrum at a time.
 
-Cholesky factors and Wood-Chan scale vectors (16 (M+1) bytes for an
-embedding of size 2M) are memoized per (generator, N, H) and shared
-read-only, so a run that returns to an earlier key, such as a series of
-recordings over a few Hurst parameters, reuses them. All entries share one
-cap: the oldest are dropped once their total passes `_MEMO_MAX_BYTES` (16
-MiB, three factors at N = 1000), and the newest is always kept, so a factor
-larger than the cap is held alone.
+Cholesky factors and Wood-Chan amplitudes (8 (M+1) bytes for an embedding
+of size 2M) are memoized per (generator, N, H) and shared read-only, so a
+run that returns to an earlier key, such as a series of recordings over a
+few Hurst parameters, reuses them. All entries share one cap: the oldest
+are dropped once their total passes `_MEMO_MAX_BYTES` (16 MiB, three
+factors at N = 1000), and the newest is always kept, so a factor larger
+than the cap is held alone.
 
 Both generators are deterministic functions of (N, H, seed). Bit-identical
 output across platforms is not promised, since Wood-Chan uses the FFT and
@@ -109,11 +110,11 @@ def _check_hurst(H: float) -> float:
 
 
 # Total size of the memo's arrays before it drops the oldest. A Cholesky
-# factor takes 8 `_factor_size(N)` bytes, 4.5 MB at N = 1000, so three fit; a
-# Wood-Chan scale vector 16 (M+1), 8 MiB at N = 2^19.
+# factor takes 8 `_factor_size(N)` bytes, 4.5 MB at N = 1000, so three fit;
+# Wood-Chan amplitudes 8 (M+1), 8 MiB at N = 2^20 and 15.3 MiB at 2x10^6.
 _MEMO_MAX_BYTES = 16 << 20
 
-# Cholesky factors and Wood-Chan scale vectors by key, oldest first; see
+# Cholesky factors and Wood-Chan amplitudes by key, oldest first; see
 # `_memoized`.
 _spectral_memo: dict[tuple, np.ndarray] = {}
 
@@ -315,20 +316,16 @@ def _embedding_eigenvalues(N: int, H: float) -> np.ndarray:
 
 
 def _fgn_scale(N: int, H: float) -> np.ndarray:
-    """Read-only interleaved (real, imaginary) scales sqrt(w_k * lam_k) of the
-    M+1 half-spectrum terms, w = 2M at k = 0 and k = M and w = M otherwise,
-    memoized per (N, H). The imaginary scales of X_0 and X_M are zero."""
+    """Read-only amplitudes sqrt(w_k * lam_k) of the M+1 half-spectrum terms,
+    w = 2M at k = 0 and k = M and w = M otherwise, memoized per (N, H). They
+    are a new array, not a view of the 2M-point `hfft` output."""
 
     def build() -> np.ndarray:
         wlam = _embedding_eigenvalues(N, H)
         m = wlam.size - 1
         wlam[1:m] *= float(m)
         wlam[[0, m]] *= 2.0 * m
-        scale = np.empty(2 * (m + 1))
-        np.sqrt(wlam, out=scale[0::2])
-        scale[1::2] = scale[0::2]
-        scale[[1, -1]] = 0.0
-        return scale
+        return np.sqrt(wlam)
 
     return _memoized((GENERATOR_WOOD_CHAN, N, H), build)
 
@@ -336,23 +333,23 @@ def _fgn_scale(N: int, H: float) -> np.ndarray:
 def _unit_fgn(N: int, H: float, seed, n_paths: int) -> np.ndarray:
     """(n_paths, N) independent unit-grid fGn vectors by circulant embedding.
 
-    Path i is `irfft(X_i, 2M)[:N]` of its own Hermitian half-spectrum: real
-    X_0 and X_M, complex X_k for 0 < k < M, standard normal parts scaled by
+    Path i is `irfft(X_i, 2M)[:N]` of its own Hermitian half-spectrum:
+    complex X_k for 0 <= k <= M, standard normal parts scaled by
     `_fgn_scale` (Dietrich & Newsam 1997). The normals fill X_0, X_1, ... of
-    each path in turn, the imaginary parts of X_0 and X_M drawn and zeroed, so
-    the first j paths of any draw with this seed are the same. One buffer of
-    M+1 complex terms holds each path's half-spectrum in turn, and each path
-    is its own `irfft`.
+    each path in turn; `irfft` discards the imaginary parts of X_0 and X_M,
+    which are drawn all the same, so the first j paths of any draw with this
+    seed are the same. One buffer of M+1 complex terms holds each path's
+    half-spectrum in turn, and each path is its own `irfft`.
     """
     scale = _fgn_scale(N, H)
-    m = scale.size // 2 - 1
+    m = scale.size - 1
     rng = np.random.default_rng(seed)
     out = np.empty((n_paths, N))
     x = np.empty(m + 1, dtype=complex)
     parts = x.view(float)
     for row in out:
         rng.standard_normal(out=parts)
-        parts *= scale
+        x *= scale
         row[:] = np.fft.irfft(x, 2 * m)[:N]
     return out
 

@@ -179,7 +179,8 @@ def _integrate(
     dt_c = dt / params.capacitance_C
     g_na, g_k, g_l = params.gbar_Na, params.gbar_K, params.gbar_L
     e_na, e_k, e_l = params.E_Na, params.E_K, params.E_L
-    exp, expm1, isfinite, inf, e3 = math.exp, math.expm1, math.isfinite, math.inf, _E3
+    exp, expm1, isfinite, e3 = math.exp, math.expm1, math.isfinite, _E3
+    inf, neg_inf = math.inf, -math.inf
 
     m, h, n, v = x0.m, x0.h, x0.n, x0.V
     if not isfinite(v):
@@ -238,7 +239,7 @@ def _integrate(
             pm = m * (1.0 - m)
             ph = h * (1.0 - h)
             pn = n * (1.0 - n)
-            if not (pm >= 0.0 and ph >= 0.0 and pn >= 0.0 and -inf < v < inf):
+            if not (pm >= 0.0 and ph >= 0.0 and pn >= 0.0 and neg_inf < v < inf):
                 if m < 0.0 or m > 1.0:
                     events.append(ClampEvent(step=lo + i, coord="m", pre_value=m))
                     m = min(1.0, max(0.0, m))

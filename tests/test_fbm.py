@@ -341,9 +341,9 @@ class TestSpectralMemo:
             fbm._fgn_scale(1, 0.75)
         assert not cold_memo
         assert fbm._embedding_eigenvalues(1, 0.8).tolist() == [1.0, 0.0]
-        # Real and imaginary scales of X_0 and X_1 = X_M, w = 2M = 2.
+        # Amplitudes of X_0 and X_1 = X_M, w = 2M = 2.
         scale = fbm._fgn_scale(1, 0.8)
-        assert scale.tolist() == [math.sqrt(2.0), 0.0, 0.0, 0.0]
+        assert scale.tolist() == [math.sqrt(2.0), 0.0]
         assert cold_memo[("wood_chan", 1, 0.8)] is scale
 
     @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
@@ -361,15 +361,30 @@ class TestSpectralMemo:
             lam = np.fft.hfft(fgn_autocovariance(np.arange(m + 1), hurst), 2 * m)
             weight = np.full(m + 1, float(m))
             weight[[0, m]] = 2.0 * m
-            expected = np.empty(2 * (m + 1))
-            expected[0::2] = expected[1::2] = np.sqrt(weight * lam[: m + 1])
-            expected[[1, -1]] = 0.0
+            expected = np.sqrt(weight * lam[: m + 1])
             assert scale.tobytes() == expected.tobytes(), n_grid
         # The cold build at N = 100000 peaks inside `hfft`: the M+1
         # autocovariances, their real conjugate and its complex cast, and the
         # 2M-point output, 48 (M+1) bytes in all (1.5007 x 32 M measured, up
         # to 1.543 with a new FFT plan).
         assert peak < 1.55 * 32 * m
+
+    @pytest.mark.parametrize("n_grid", [1, 5000, 100000])
+    def test_amplitudes_own_their_m_plus_1_doubles(self, cold_memo, n_grid):
+        # `_unit_fgn` scales X_0 and X_M whole, since `irfft` discards their
+        # imaginary parts: zeroing them changes no bit of the path.
+        m = _smooth_size(n_grid)
+        rng = np.random.default_rng(n_grid)
+        x = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
+        zeroed = x.copy()
+        zeroed.imag[[0, m]] = 0.0
+        assert np.fft.irfft(x, 2 * m).tobytes() == np.fft.irfft(zeroed, 2 * m).tobytes()
+        # A view of the 2M-point `hfft` output would hold 16M bytes behind a
+        # memo entry that counts 8 (M+1).
+        scale = fbm._fgn_scale(n_grid, 0.75)
+        assert scale.dtype == np.float64 and scale.shape == (m + 1,)
+        assert scale.base is None and not scale.flags.writeable
+        assert scale.nbytes == 8 * (m + 1)
 
     @pytest.mark.parametrize("n_grid", [1000, 4096, 5000])
     def test_warm_draw_holds_one_half_spectrum(self, n_grid):
@@ -395,17 +410,17 @@ class TestSpectralMemo:
         assert list(cold_memo) == [("wood_chan", 1000, 0.7), ("wood_chan", 1000, 0.8)]
 
     def test_spectra_evicted_oldest_first_past_cap(self, cold_memo, monkeypatch):
-        # N = 8 embeds in 2M = 16 points: 2(M+1) scales, 144 bytes, two fit.
-        monkeypatch.setattr(fbm, "_MEMO_MAX_BYTES", 288)
+        # N = 8 embeds in 2M = 16 points: M+1 amplitudes, 72 bytes, two fit.
+        monkeypatch.setattr(fbm, "_MEMO_MAX_BYTES", 144)
         for hurst in (0.6, 0.7, 0.8):
             fbm._fgn_scale(8, hurst)
         assert list(cold_memo) == [("wood_chan", 8, 0.7), ("wood_chan", 8, 0.8)]
         fbm._fgn_scale(8, 0.7)
         fbm._fgn_scale(8, 0.9)
         assert list(cold_memo) == [("wood_chan", 8, 0.8), ("wood_chan", 8, 0.9)]
-        # A scale vector larger than the cap is still kept, alone.
+        # Amplitudes larger than the cap are still kept, alone.
         big = fbm._fgn_scale(64, 0.7)
-        assert big.nbytes > 288
+        assert big.nbytes > 144
         assert list(cold_memo) == [("wood_chan", 64, 0.7)]
 
     def test_cholesky_runs_factors_stay_memoized_together(self, cold_memo, monkeypatch):
@@ -420,22 +435,28 @@ class TestSpectralMemo:
         assert sum(v.nbytes for v in cold_memo.values()) <= fbm._MEMO_MAX_BYTES
 
     def test_factors_and_spectra_share_the_cap(self, cold_memo):
-        # Factors at N = 1000 take 8 x 562,752 = 4,502,016 bytes, scale
-        # vectors 16 (M+1): 2 MiB + 16 at N = 2^17, 8 MiB + 16 at N = 2^19.
+        # Factors at N = 1000 take 8 x 562,752 = 4,502,016 bytes, amplitudes
+        # 8 (M+1): 2 MiB + 8 at N = 2^18, 8 MiB + 8 at N = 2^20.
         assert fbm._MEMO_MAX_BYTES == 16 << 20
         for hurst in (0.6, 0.75, 0.9):
             fbm._unit_factor(1000, hurst)
-        fbm._fgn_scale(2 ** 17, 0.75)
+        fbm._fgn_scale(2 ** 18, 0.75)
         assert [k[2] for k in cold_memo] == [0.6, 0.75, 0.9, 0.75]
         # A fourth factor passes the cap by ~3.3 MB: the oldest factor goes.
         fbm._unit_factor(1000, 0.8)
         assert list(cold_memo) == [("cholesky", 1000, 0.75), ("cholesky", 1000, 0.9),
-                                   ("wood_chan", 2 ** 17, 0.75), ("cholesky", 1000, 0.8)]
-        # A large scale vector drops factors, oldest first, until it fits.
-        fbm._fgn_scale(2 ** 19, 0.75)
-        assert list(cold_memo) == [("wood_chan", 2 ** 17, 0.75), ("cholesky", 1000, 0.8),
-                                   ("wood_chan", 2 ** 19, 0.75)]
+                                   ("wood_chan", 2 ** 18, 0.75), ("cholesky", 1000, 0.8)]
+        # Large amplitudes drop factors, oldest first, until they fit.
+        fbm._fgn_scale(2 ** 20, 0.75)
+        assert list(cold_memo) == [("wood_chan", 2 ** 18, 0.75), ("cholesky", 1000, 0.8),
+                                   ("wood_chan", 2 ** 20, 0.75)]
         assert sum(v.nbytes for v in cold_memo.values()) <= fbm._MEMO_MAX_BYTES
+        # `frachh series 0.95 --dt 0.001 --T 2000` embeds at M = 2x10^6: its
+        # 16,000,008 bytes drop every entry above, then fit beside a small one.
+        fbm._fgn_scale(2_000_000, 0.95)
+        assert list(cold_memo) == [("wood_chan", 2_000_000, 0.95)]
+        fbm._fgn_scale(8, 0.7)
+        assert list(cold_memo) == [("wood_chan", 2_000_000, 0.95), ("wood_chan", 8, 0.7)]
         # A factor larger than the cap is still kept, alone.
         fbm._unit_factor(2100, 0.75)
         assert list(cold_memo) == [("cholesky", 2100, 0.75)]
