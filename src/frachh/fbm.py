@@ -302,27 +302,21 @@ def _embedding_half_size(N: int) -> int:
     return best
 
 
-def _embedding_eigenvalues(N: int, H: float) -> np.ndarray:
-    """Eigenvalues lam_0..lam_M of the minimal embedding, half-size M =
-    `_embedding_half_size(N)`; a negative (or NaN) one raises."""
-    lam = _circulant_eigenvalues(_embedding_half_size(N), H)
-    lam_min = float(lam.min())
-    if not lam_min >= 0.0:
-        raise RuntimeError(
-            f"circulant embedding of fGn is indefinite at N={N}, H={H} "
-            f"(most negative eigenvalue {lam_min:.6g})"
-        )
-    return lam
-
-
 def _fgn_scale(N: int, H: float) -> np.ndarray:
     """Read-only amplitudes sqrt(w_k * lam_k) of the M+1 half-spectrum terms,
-    w = 2M at k = 0 and k = M and w = M otherwise, memoized per (N, H). They
-    are a new array, not a view of the 2M-point `hfft` output."""
+    M = `_embedding_half_size(N)`, w = 2M at k = 0 and k = M and w = M
+    otherwise, memoized per (N, H): a new array, not a view of the 2M-point
+    `hfft` output. A negative (or NaN) eigenvalue raises `RuntimeError`."""
 
     def build() -> np.ndarray:
-        wlam = _embedding_eigenvalues(N, H)
-        m = wlam.size - 1
+        m = _embedding_half_size(N)
+        wlam = _circulant_eigenvalues(m, H)
+        lam_min = float(wlam.min())
+        if not lam_min >= 0.0:
+            raise RuntimeError(
+                f"circulant embedding of fGn is indefinite at N={N}, H={H} "
+                f"(most negative eigenvalue {lam_min:.6g})"
+            )
         wlam[1:m] *= float(m)
         wlam[[0, m]] *= 2.0 * m
         return np.sqrt(wlam)

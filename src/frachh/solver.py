@@ -26,8 +26,8 @@ transcendental calls and the products built from them with the same
 expressions in the same order, so every bit matches. They sit in a `try`;
 only where one raises (ZeroDivisionError at V = 10 or 25, OverflowError
 below V = -7072.8) is `rates` called, looked up as this module's global at
-call time. A non-finite start V goes to `rates` once before the loop, which
-rejects it.
+call time. A non-finite start V is rejected by each caller's
+`require_in_domain`, before any driver is drawn.
 
 The noise term of gate x is x(1 - x) sigma dB. The loop carries the factor
 x(1 - x) of each gate from one step to the next and scales each block of
@@ -183,8 +183,6 @@ def _integrate(
     inf, neg_inf = math.inf, -math.inf
 
     m, h, n, v = x0.m, x0.h, x0.n, x0.V
-    if not isfinite(v):
-        rates(v)  # raises the ValueError that names the voltage
     # The noise factors x(1 - x), carried from step to step; each is >= 0
     # exactly when its gate lies in [0,1], so they are the range test too.
     pm, ph, pn = m * (1.0 - m), h * (1.0 - h), n * (1.0 - n)

@@ -209,9 +209,9 @@ def apriori_voltage_bound(params: HHParams, x0: State, T: float) -> float:
     """Gronwall bound c2 exp(c1 T) on max |V(t)| over [0, T] for any solution
     started at `x0` in K, with c2 = |V(0)| + c1 T (1 + sqrt(3)).
 
-    sqrt(3) bounds the gate block on the unit cube. The result may be inf
-    when c1 T exceeds the double exponent range; the bound is still valid
-    (and then vacuous) in that case.
+    sqrt(3) bounds the gate block on the unit cube. The result is inf when
+    exp(c1 T) or the product overflows; the bound is still valid (and then
+    vacuous) in that case.
     """
     kinetics.require_in_domain(x0)
     T = float(T)
@@ -219,9 +219,7 @@ def apriori_voltage_bound(params: HHParams, x0: State, T: float) -> float:
         raise ValueError(f"horizon T must be positive, got {T!r}")
     c1 = linear_growth_constant(params)
     c2 = abs(x0.V) + c1 * T * (1.0 + math.sqrt(3.0))
-    if c2 == 0.0:
-        return 0.0
-    log_bound = math.log(c2) + c1 * T
-    if log_bound >= math.log(np.finfo(float).max):
+    try:
+        return c2 * math.exp(c1 * T)
+    except OverflowError:
         return math.inf
-    return c2 * math.exp(c1 * T)

@@ -183,9 +183,13 @@ class TestHolderEstimator:
         t = np.linspace(0.0, 1.0, 100)
         with pytest.raises(ValueError):
             estimate_holder(t, t)
-        # Also rejected: a non-finite value, and a reversed or constant grid.
+        # Also rejected: values and a grid of unequal length, 2-d values, a
+        # non-finite value, and a reversed or constant grid.
         t = np.linspace(0.0, 1.0, 1024)
         x = np.sqrt(t)
+        for values, grid in ((x, t[:-1]), (x[:-1], t), (np.stack([x, x], axis=1), t)):
+            with pytest.raises(ValueError, match="^values and grid must be 1-d arrays"):
+                estimate_holder(values, grid)
         x[500] = np.nan
         with pytest.raises(ValueError, match="values must be finite"):
             estimate_holder(x, t)
@@ -215,6 +219,13 @@ class TestRecordingSeries:
     def test_solver_hurst_range_enforced(self, classic_i10_noisy):
         with pytest.raises(ValueError, match="1/2"):
             simulate_recording_series([0.9, 0.3], classic_i10_noisy, SolverConfig())
+
+    def test_empty_series_rejected_before_any_run(self, classic_i10_noisy, monkeypatch):
+        calls = []
+        monkeypatch.setattr(solver, "simulate", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="^hurst_sequence must not be empty$"):
+            simulate_recording_series([], classic_i10_noisy, SolverConfig())
+        assert calls == []
 
     def test_short_horizon_rejected_before_any_run(self, classic_i10_noisy, monkeypatch):
         calls = []

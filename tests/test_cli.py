@@ -176,6 +176,18 @@ class TestSimulateCommand:
         assert "amplitude" in captured.err
         assert not out.exists()
 
+    def test_config_line_without_equals_exits_2_without_output(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("T = 10\n# comment\nseed 3\n")
+        out = tmp_path / "never"
+        code, _, captured = run_cli(
+            ["simulate", "--config", str(cfg), "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"{cfg}:3: expected 'key = value'" in captured.err
+        assert not out.exists()
+
     def test_unreadable_config_exits_2_without_output(self, tmp_path, capsys):
         cfg = tmp_path / "missing.cfg"
         out = tmp_path / "never"

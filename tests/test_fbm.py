@@ -340,7 +340,6 @@ class TestSpectralMemo:
         with pytest.raises(RuntimeError, match=r"N=1, H=0\.75 .*-1e-12\)"):
             fbm._fgn_scale(1, 0.75)
         assert not cold_memo
-        assert fbm._embedding_eigenvalues(1, 0.8).tolist() == [1.0, 0.0]
         # Amplitudes of X_0 and X_1 = X_M, w = 2M = 2.
         scale = fbm._fgn_scale(1, 0.8)
         assert scale.tolist() == [math.sqrt(2.0), 0.0]
@@ -466,8 +465,8 @@ def _reference_unit_fgn(N, H, seed, n_paths):
     """`_unit_fgn` one path at a time: each path draws the real and imaginary
     parts of X_0, ..., X_M in turn, keeps X_0 and X_M real, scales by
     sqrt(w_k lam_k) and takes the first N points of `irfft`."""
-    lam = fbm._embedding_eigenvalues(N, H)
-    m = lam.size - 1
+    m = fbm._embedding_half_size(N)
+    lam = fbm._circulant_eigenvalues(m, H)
     scale = np.sqrt(m * lam[: m + 1])
     scale[[0, m]] = np.sqrt(2 * m * lam[[0, m]])
     rng = np.random.default_rng(seed)
@@ -647,7 +646,8 @@ class TestWoodChan:
         far = {4099: 4320, 5000: 5000, 100000: 100000, 131073: 131220}
         assert {n: _smooth_size(n) for n in far} == far
         for n_grid in [*range(1, 3001), *far]:
-            lam = fbm._embedding_eigenvalues(n_grid, (0.3, 0.55, 0.75, 0.95)[n_grid % 4])
+            hurst = (0.3, 0.55, 0.75, 0.95)[n_grid % 4]
+            lam = fbm._circulant_eigenvalues(fbm._embedding_half_size(n_grid), hurst)
             assert lam.size == _smooth_size(n_grid) + 1, n_grid
             assert lam.min() >= 0.0
 
@@ -663,7 +663,7 @@ class TestWoodChan:
     def test_no_negative_eigenvalue_at_two_million_steps(self):
         # `frachh series 0.95 --dt 0.001 --T 2000`; with the three-power
         # autocovariance at every lag the smallest eigenvalue read -0.254.
-        lam = fbm._embedding_eigenvalues(2_000_000, 0.95)
+        lam = fbm._circulant_eigenvalues(fbm._embedding_half_size(2_000_000), 0.95)
         assert lam.min() == pytest.approx(0.0876, abs=1e-4)
 
     @pytest.mark.parametrize("n_grid", [1, 1000, 5000, 100000])

@@ -264,11 +264,6 @@ class TestInlineRates:
         assert [c.hex() for c in traj[1].tolist()] == [c.hex() for c in ref]
         assert events == ref_events
 
-    @pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])
-    def test_non_finite_voltage_rejected_by_rates(self, v):
-        with pytest.raises(ValueError, match="voltage must be finite"):
-            _integrate(State(0.5, 0.5, 0.5, v), HHParams.classic(), 0.01, 1, None)
-
     @staticmethod
     def _count_rates(monkeypatch):
         calls = []
@@ -425,6 +420,18 @@ class TestSimulate:
     def test_start_outside_box_rejected(self, classic_i10):
         with pytest.raises(ValueError):
             simulate(State(-0.1, 0.5, 0.5, 0.0), classic_i10, SolverConfig(T=1.0, dt=0.01))
+
+    # `_integrate` does not check V itself; its three callers reject a
+    # non-finite one before any driver is drawn.
+    @pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])
+    def test_non_finite_start_voltage_rejected_by_every_entry(
+        self, classic_i10_noisy, cold_memo, v
+    ):
+        x0, config = State(0.5, 0.5, 0.5, v), SolverConfig(T=1.0, dt=0.01)
+        for run in (simulate, simulate_voltage, lambda *a: convergence_probe(*a, 2)):
+            with pytest.raises(ValueError, match=r"^initial state must lie in "):
+                run(x0, classic_i10_noisy, config)
+        assert cold_memo == {}
 
     def test_result_accessors(self, eq0, classic_i10):
         run = simulate(eq0, classic_i10, SolverConfig(T=1.0, dt=0.01))

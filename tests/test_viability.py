@@ -327,6 +327,9 @@ class TestVoltageBound:
         x0 = State(0.5, 0.5, 0.5, -7.0)
         assert linear_growth_constant(params) == 0.0
         assert apriori_voltage_bound(params, x0, 50.0) == pytest.approx(7.0)
+        # With no growth from V0 = 0 the bound is exactly 0.0.
+        bound = apriori_voltage_bound(params, State(0.5, 0.5, 0.5, 0.0), 50.0)
+        assert bound == 0.0 and math.copysign(1.0, bound) == 1.0
         run = solver.simulate(x0, params, solver.SolverConfig(T=5.0, dt=0.01))
         assert np.all(run.voltage == -7.0)
         assert run.bound_satisfied
@@ -341,6 +344,13 @@ class TestVoltageBound:
 
     def test_overflows_to_inf_at_classic_scale(self, eq0, classic_i10):
         assert apriori_voltage_bound(classic_i10, eq0, 50.0) == math.inf
+        assert apriori_voltage_bound(classic_i10, eq0, math.inf) == math.inf
+
+    def test_classic_scale_is_finite_at_a_short_horizon(self, eq0, classic_i10):
+        c1 = linear_growth_constant(classic_i10)
+        c2 = abs(eq0.V) + c1 * 0.01 * (1.0 + math.sqrt(3.0))
+        bound = apriori_voltage_bound(classic_i10, eq0, 0.01)
+        assert math.isfinite(bound) and bound == c2 * math.exp(c1 * 0.01)
 
     def test_dominates_simulated_voltage(self, eq0):
         params = HHParams(
